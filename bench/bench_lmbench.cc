@@ -40,7 +40,7 @@ main(int argc, char **argv)
         {"open/close", latOpenClose, 1000 * scale, 2.01, 9.70,
          "4.83x"},
         {"mmap", latMmap, 1000 * scale, 7.06, 33.2, "4.70x"},
-        {"page fault", latPageFault, paper ? 1000 : 250, 31.8, 36.7,
+        {"page fault", latPageFault, paper ? 1000u : 250u, 31.8, 36.7,
          "1.15x"},
         {"signal handler install", latSignalInstall, 1000 * scale,
          0.168, 0.545, "3.24x"},
@@ -50,12 +50,12 @@ main(int argc, char **argv)
          [](kern::UserApi &api, uint64_t n) {
              return latForkExit(api, n);
          },
-         paper ? 1000 : 100, 63.7, 283, "4.40x"},
+         paper ? 1000u : 100u, 63.7, 283, "4.40x"},
         {"fork + exec",
          [](kern::UserApi &api, uint64_t n) {
              return latForkExec(api, n);
          },
-         paper ? 1000 : 100, 101, 422, "4.20x"},
+         paper ? 1000u : 100u, 101, 422, "4.20x"},
         {"select",
          [](kern::UserApi &api, uint64_t n) {
              return latSelect(api, n, 100);

@@ -7,11 +7,10 @@
 namespace vg::hw
 {
 
-PhysMem::PhysMem(uint64_t frames)
+PhysMem::PhysMem(uint64_t frames) : _bytes(frames, pageSize)
 {
     if (frames == 0)
         sim::fatal("PhysMem: must have at least one frame");
-    _bytes.assign(frames * pageSize, 0);
 }
 
 void

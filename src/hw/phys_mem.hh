@@ -5,16 +5,18 @@
  * A flat array of 4 KB frames. PhysMem itself enforces nothing: the
  * protection story lives in the MMU (for CPU accesses), the IOMMU (for
  * DMA), and the kernel/SVA software layers above. This mirrors real
- * hardware, where RAM is dumb.
+ * hardware, where RAM is dumb. The storage is demand-zero (see
+ * hw/zeroed.hh): a fresh machine costs nothing for RAM it never
+ * touches.
  */
 
 #ifndef VG_HW_PHYS_MEM_HH
 #define VG_HW_PHYS_MEM_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "hw/layout.hh"
+#include "hw/zeroed.hh"
 
 namespace vg::hw
 {
@@ -61,7 +63,7 @@ class PhysMem
   private:
     void check(Paddr pa, uint64_t len) const;
 
-    std::vector<uint8_t> _bytes;
+    ZeroedBytes _bytes;
 };
 
 } // namespace vg::hw

@@ -41,15 +41,7 @@ Kernel::Kernel(sim::SimContext &ctx, hw::PhysMem &mem, hw::CpuSet &cpus,
     _lastIrqAt.assign(ctx.vcpuCount(), 0);
 }
 
-Kernel::~Kernel()
-{
-    for (auto &[pid, proc] : _procs) {
-        if (proc->hostThread.joinable()) {
-            // Should not happen if run() completed; detach defensively.
-            proc->hostThread.detach();
-        }
-    }
-}
+Kernel::~Kernel() = default;
 
 void
 Kernel::boot()
@@ -379,74 +371,73 @@ Kernel::copyAddressSpace(Process &parent, Process &child)
 }
 
 // --------------------------------------------------------------------
-// Scheduling (baton passing)
+// Scheduling (one fiber per process, resumed by the scheduler)
 // --------------------------------------------------------------------
 
 uint64_t
 Kernel::spawn(const std::string &name,
               std::function<int(UserApi &)> main_fn)
 {
-    uint64_t pid = _nextPid++;
     auto proc = std::make_unique<Process>();
-    Process &p = *proc;
-    p.pid = pid;
-    p.name = name;
-    p.mainFn = std::move(main_fn);
+    proc->name = name;
+    proc->mainFn = std::move(main_fn);
+    uint64_t pid = startProcess(std::move(proc), nullptr);
+    sim::StatSet::add(_hSpawns);
+    return pid;
+}
+
+uint64_t
+Kernel::startProcess(std::unique_ptr<Process> owner, Process *parent)
+{
+    Process &p = *owner;
+    p.pid = _nextPid++;
     p.state = ProcState::Runnable;
     p.cpu = _nextCpuAssign++ % _ctx.vcpuCount();
 
     sva::SvaError err;
-    sva::SvaThread *t =
-        _vm.newThread(pid, 0xffffff8000100000ull, 0, &err);
+    sva::SvaThread *t = _vm.newThread(p.pid, 0xffffff8000100000ull,
+                                      parent ? parent->tid : 0, &err);
     if (!t)
-        sim::panic("spawn: %s", err.message.c_str());
+        sim::panic("%s: %s", parent ? "fork" : "spawn",
+                   err.message.c_str());
     p.tid = t->id;
 
     buildAddressSpace(p);
+    if (parent)
+        copyAddressSpace(*parent, p);
 
-    p.hostThread = std::thread([this, &p]() {
-        {
-            std::unique_lock<std::mutex> lk(_mtx);
-            p.cv.wait(lk, [&]() { return p.batonHeld; });
-        }
-        UserApi api(*this, p);
-        int code = 0;
-        try {
-            code = p.mainFn ? p.mainFn(api) : 0;
-        } catch (const ProcessExit &e) {
-            code = e.code;
-        }
-        // Exit path (runs holding the baton).
-        teardownAddressSpace(p);
-        _vm.unbindProcess(p.pid);
-        _vm.destroyThread(p.tid);
-        connReapProcess(p);
-        p.fds.clear();
-        p.state = ProcState::Zombie;
-        _exitCodes[p.pid] = code;
-        p.exitCode = code;
-        sim::StatSet::add(_hProcessExits);
-        wakeup(reinterpret_cast<const void *>(uintptr_t(p.pid)));
-        std::unique_lock<std::mutex> lk(_mtx);
-        p.batonHeld = false;
-        _schedulerTurn = true;
-        _current = nullptr;
-        _schedCv.notify_all();
-    });
+    p.fiber.init(_stacks, [this, &p]() { processMain(p); });
+    _procs[p.pid] = std::move(owner);
+    return p.pid;
+}
 
-    _procs[pid] = std::move(proc);
-    sim::StatSet::add(_hSpawns);
-    return pid;
+void
+Kernel::processMain(Process &p)
+{
+    UserApi api(*this, p);
+    int code = 0;
+    try {
+        code = p.mainFn ? p.mainFn(api) : 0;
+    } catch (const ProcessExit &e) {
+        code = e.code;
+    }
+    // Exit path (still on the process fiber).
+    teardownAddressSpace(p);
+    _vm.unbindProcess(p.pid);
+    _vm.destroyThread(p.tid);
+    connReapProcess(p);
+    p.fds.clear();
+    p.state = ProcState::Zombie;
+    _exitCodes[p.pid] = code;
+    p.exitCode = code;
+    sim::StatSet::add(_hProcessExits);
+    wakeup(reinterpret_cast<const void *>(uintptr_t(p.pid)));
 }
 
 void
 Kernel::switchTo(Process &proc)
 {
-    std::unique_lock<std::mutex> lk(_mtx);
     proc.state = ProcState::Running;
-    proc.batonHeld = true;
-    _current = &proc;
-    _schedulerTurn = false;
     // Execute on the process's home vCPU. Causality: this CPU cannot
     // resume the process before the waker (possibly on another CPU)
     // produced the wakeup, so its clock catches up to the wake stamp.
@@ -459,20 +450,13 @@ Kernel::switchTo(Process &proc)
     if (proc.rootFrame)
         _vm.loadRoot(proc.rootFrame, &err);
     _vm.noteDispatch(proc.tid);
-    proc.cv.notify_all();
-    _schedCv.wait(lk, [&]() { return _schedulerTurn; });
+    proc.fiber.resume();
 }
 
 void
 Kernel::backToScheduler(Process &proc)
 {
-    // Hand the baton to the scheduler and wait for it to come back.
-    std::unique_lock<std::mutex> lk(_mtx);
-    proc.batonHeld = false;
-    _schedulerTurn = true;
-    _current = nullptr;
-    _schedCv.notify_all();
-    proc.cv.wait(lk, [&]() { return proc.batonHeld; });
+    proc.fiber.suspend();
     proc.state = ProcState::Running;
 }
 
@@ -676,20 +660,6 @@ Kernel::runLegacy()
         Process *next = runnable[rr_cursor % runnable.size()];
         rr_cursor++;
         switchTo(*next);
-
-        // Join processes that have fully exited.
-        for (auto &[pid, proc] : _procs) {
-            if (proc->state == ProcState::Zombie &&
-                proc->hostThread.joinable()) {
-                proc->hostThread.join();
-                proc->state = ProcState::Zombie; // reaped via waitpid
-            }
-        }
-    }
-
-    for (auto &[pid, proc] : _procs) {
-        if (proc->hostThread.joinable())
-            proc->hostThread.join();
     }
 }
 
@@ -786,20 +756,6 @@ Kernel::runSmp()
         Process *next = q[cursors[cpu] % q.size()];
         cursors[cpu]++;
         switchTo(*next);
-
-        // Join processes that have fully exited.
-        for (auto &[pid, proc] : _procs) {
-            if (proc->state == ProcState::Zombie &&
-                proc->hostThread.joinable()) {
-                proc->hostThread.join();
-                proc->state = ProcState::Zombie; // reaped via waitpid
-            }
-        }
-    }
-
-    for (auto &[pid, proc] : _procs) {
-        if (proc->hostThread.joinable())
-            proc->hostThread.join();
     }
 }
 

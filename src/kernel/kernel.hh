@@ -7,10 +7,11 @@
  * Virtual Ghost VM, and all of its memory traffic is cost-accounted
  * through Kmem with sandbox-masking semantics.
  *
- * Execution model: each simulated process runs on a host thread; a
- * strict baton (one runnable thread at a time, handed over under a
- * mutex) keeps simulated time coherent. The boot thread runs the
- * scheduler loop in run().
+ * Execution model: the scheduler loop in run() and every simulated
+ * process share one host thread. Each process runs on its own Fiber
+ * (kernel/fiber.hh); the scheduler resumes exactly one at a time and
+ * the process suspends back when it blocks, yields or exits, which
+ * keeps simulated time coherent without any host locking.
  */
 
 #ifndef VG_KERNEL_KERNEL_HH
@@ -113,7 +114,7 @@ struct KernelModule
 
 class Kernel;
 
-/** Thrown by UserApi::exit() to unwind a process host thread. */
+/** Thrown by UserApi::exit() to unwind a process fiber. */
 struct ProcessExit
 {
     int code;
@@ -365,6 +366,11 @@ class Kernel
     /** Free frames remaining in the kernel allocator. */
     uint64_t freeFrames() const { return _frames->freeCount(); }
 
+    /** Fiber stacks mapped so far: the peak number of processes that
+     *  had started and not yet exited at once (an exiting process's
+     *  stack is reused by the next one). */
+    size_t fiberStacksMapped() const { return _stacks.mapped(); }
+
     /** Resolve a user access through @p proc's tables, demand-zero
      *  faulting as needed (the user-mode memory path). */
     bool handleUserAccess(Process &proc, hw::Vaddr va,
@@ -409,7 +415,18 @@ class Kernel
 
   private:
     // --- scheduling ---------------------------------------------------
-    void schedulerLoop();
+    /**
+     * Make a process Runnable: assign its pid, home CPU and SVA thread,
+     * build its address space (a copy of @p parent's for fork, null for
+     * spawn), bind its fiber to processMain() and register it. The
+     * caller fills in name, mainFn and whatever else it inherits.
+     * Returns the pid.
+     */
+    uint64_t startProcess(std::unique_ptr<Process> owner,
+                          Process *parent);
+    /** The body of every process fiber: run mainFn, then the exit path
+     *  (teardown, zombie, wake the waiters). */
+    void processMain(Process &proc);
     /** SMP scheduler: per-CPU run queues, deterministic round-robin
      *  interleaving across vCPUs, idle balancing (VgConfig::smpScheduler,
      *  the default; identical to runLegacy() at vcpus == 1). */
@@ -504,6 +521,8 @@ class Kernel
     std::unique_ptr<BufferCache> _bcache;
     std::unique_ptr<Fs> _fs;
 
+    /** Declared before _procs so it outlives every process fiber. */
+    StackPool _stacks;
     std::map<uint64_t, std::unique_ptr<Process>> _procs;
     std::map<uint64_t, int> _exitCodes;
     uint64_t _nextPid = 1;
@@ -539,12 +558,6 @@ class Kernel
     std::map<int, Interposition> _interposed;
     cc::ExternTable _moduleExterns;
 
-    // Baton machinery.
-    std::mutex _mtx;
-    std::condition_variable _schedCv;
-    Process *_current = nullptr;
-    bool _schedulerTurn = true;
-    bool _shuttingDown = false;
     bool _rngRigged = false;
     uint64_t _osRngState = 0x123456789abcdefull;
 

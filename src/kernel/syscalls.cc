@@ -661,63 +661,17 @@ UserApi::fork(std::function<int(UserApi &)> child_main)
     // proc-table entry, uarea, fd table duplication.
     k._ctx.chargeKernelWork(2200, 900, 180);
 
-    uint64_t child_pid = k._nextPid++;
-    auto child_owner = std::make_unique<Process>();
-    Process &child = *child_owner;
-    child.pid = child_pid;
-    child.parent = _proc.pid;
-    child.name = _proc.name + "+";
-    child.mainFn = std::move(child_main);
-    child.state = ProcState::Runnable;
-    child.cpu = k._nextCpuAssign++ % k._ctx.vcpuCount();
-    child.sigHandlers = _proc.sigHandlers;
-    child.handlerFns = _proc.handlerFns;
-    child.nextHandlerToken = _proc.nextHandlerToken;
-    child.fds = _proc.fds; // shared open-file descriptions
-    child.nextFd = _proc.nextFd;
+    auto child = std::make_unique<Process>();
+    child->parent = _proc.pid;
+    child->name = _proc.name + "+";
+    child->mainFn = std::move(child_main);
+    child->sigHandlers = _proc.sigHandlers;
+    child->handlerFns = _proc.handlerFns;
+    child->nextHandlerToken = _proc.nextHandlerToken;
+    child->fds = _proc.fds; // shared open-file descriptions
+    child->nextFd = _proc.nextFd;
+    uint64_t child_pid = k.startProcess(std::move(child), &_proc);
 
-    sva::SvaError err;
-    sva::SvaThread *t = k._vm.newThread(child_pid,
-                                        0xffffff8000100000ull,
-                                        _proc.tid, &err);
-    if (!t)
-        sim::panic("fork: %s", err.message.c_str());
-    child.tid = t->id;
-
-    k.buildAddressSpace(child);
-    k.copyAddressSpace(_proc, child);
-
-    Process *cp = &child;
-    cp->hostThread = std::thread([&k, cp]() {
-        {
-            std::unique_lock<std::mutex> lk(k._mtx);
-            cp->cv.wait(lk, [&]() { return cp->batonHeld; });
-        }
-        UserApi api(k, *cp);
-        int code = 0;
-        try {
-            code = cp->mainFn ? cp->mainFn(api) : 0;
-        } catch (const ProcessExit &e) {
-            code = e.code;
-        }
-        k.teardownAddressSpace(*cp);
-        k._vm.unbindProcess(cp->pid);
-        k._vm.destroyThread(cp->tid);
-        k.connReapProcess(*cp);
-        cp->fds.clear();
-        cp->state = ProcState::Zombie;
-        k._exitCodes[cp->pid] = code;
-        cp->exitCode = code;
-        sim::StatSet::add(k._hProcessExits);
-        k.wakeup(reinterpret_cast<const void *>(uintptr_t(cp->pid)));
-        std::unique_lock<std::mutex> lk(k._mtx);
-        cp->batonHeld = false;
-        k._schedulerTurn = true;
-        k._current = nullptr;
-        k._schedCv.notify_all();
-    });
-
-    k._procs[child_pid] = std::move(child_owner);
     sim::StatSet::add(k._hForks);
     sysExit();
     return child_pid;
@@ -797,8 +751,6 @@ UserApi::waitpid(uint64_t pid, int &status)
         }
         if (child->state == ProcState::Zombie) {
             status = child->exitCode;
-            if (child->hostThread.joinable())
-                child->hostThread.join();
             child->state = ProcState::Dead;
             result = 0;
             break;

@@ -21,11 +21,16 @@ namespace vg::kern
 /** Machine sizing knobs. */
 struct SystemConfig
 {
+    // A named array rather than a braced list: GCC 12 at -O2 reports
+    // the list's backing store as maybe-uninitialized.
+    static constexpr uint8_t defaultTpmSeed[] = {'v', 'g', 't', 'p', 'm'};
+
     sim::VgConfig vg = sim::VgConfig::full();
     uint64_t memFrames = 24 * 1024;      ///< 96 MB RAM
     uint64_t diskBlocks = 64 * 1024;     ///< 256 MB SSD
     size_t rsaBits = 384;                ///< VG key size (sim-friendly)
-    std::vector<uint8_t> tpmSeed = {'v', 'g', 't', 'p', 'm'};
+    std::vector<uint8_t> tpmSeed{std::begin(defaultTpmSeed),
+                                 std::end(defaultTpmSeed)};
 };
 
 /** A booted simulated machine. */

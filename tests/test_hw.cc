@@ -78,6 +78,76 @@ TEST(PhysMem, FrameAccounting)
     EXPECT_FALSE(mem.validFrame(8));
 }
 
+TEST(Storage, LargeFreshMachineReadsZeroAtBothEnds)
+{
+    // 1 GB of RAM and a 4 GB disk: demand-zero storage makes this
+    // cheap, and untouched bytes must still read as zero.
+    sim::SimContext ctx;
+    PhysMem mem(256 * 1024);
+    Iommu iommu(mem, ctx);
+    Disk disk(1024 * 1024, iommu, ctx);
+    ASSERT_EQ(mem.sizeBytes(), uint64_t(1) << 30);
+    ASSERT_EQ(disk.numBlocks() * Disk::blockSize, uint64_t(4) << 30);
+
+    const std::vector<uint8_t> zero(pageSize, 0);
+    for (Frame f : {Frame(0), Frame(mem.numFrames() - 1)}) {
+        EXPECT_EQ(std::memcmp(mem.framePtr(f), zero.data(), pageSize), 0)
+            << "frame " << f;
+        EXPECT_EQ(mem.read64(f * pageSize), 0u);
+        EXPECT_EQ(mem.read64(f * pageSize + pageSize - 8), 0u);
+    }
+    std::vector<uint8_t> back(Disk::blockSize, 0xff);
+    for (uint64_t b : {uint64_t(0), disk.numBlocks() - 1}) {
+        EXPECT_EQ(std::memcmp(disk.rawBlock(b), zero.data(),
+                              Disk::blockSize),
+                  0)
+            << "block " << b;
+        disk.readBlock(b, back.data());
+        EXPECT_EQ(back, zero) << "block " << b;
+    }
+}
+
+TEST(Storage, RawBlockDmaAndFramePtrRoundTrip)
+{
+    sim::SimContext ctx;
+    PhysMem mem(16);
+    Iommu iommu(mem, ctx);
+    Disk disk(64, iommu, ctx);
+
+    // rawBlock -> DMA into RAM -> framePtr.
+    uint8_t *blk = disk.rawBlock(63);
+    for (size_t i = 0; i < Disk::blockSize; i++)
+        blk[i] = uint8_t(i * 7 + 1);
+    ASSERT_TRUE(disk.dmaReadBlock(63, 15 * pageSize));
+    EXPECT_EQ(std::memcmp(mem.framePtr(15), blk, pageSize), 0);
+
+    // framePtr -> DMA out of RAM -> readBlock / rawBlock.
+    std::memset(mem.framePtr(5), 0xc3, pageSize);
+    ASSERT_TRUE(disk.dmaWriteBlock(0, 5 * pageSize));
+    std::vector<uint8_t> back(Disk::blockSize);
+    disk.readBlock(0, back.data());
+    EXPECT_EQ(back, std::vector<uint8_t>(Disk::blockSize, 0xc3));
+    EXPECT_EQ(disk.rawBlock(0)[Disk::blockSize - 1], 0xc3);
+    EXPECT_EQ(mem.read8(5 * pageSize + 17), 0xc3);
+}
+
+TEST(StorageDeathTest, OutOfRangeAccessPanics)
+{
+    sim::SimContext ctx;
+    PhysMem mem(4);
+    Iommu iommu(mem, ctx);
+    Disk disk(8, iommu, ctx);
+    EXPECT_DEATH(mem.read8(mem.sizeBytes()), "out of range");
+    EXPECT_DEATH(mem.write64(mem.sizeBytes() - 4, 1), "out of range");
+    EXPECT_DEATH(mem.framePtr(mem.numFrames()), "bad frame");
+    EXPECT_DEATH(mem.zeroFrame(mem.numFrames()), "bad frame");
+    EXPECT_DEATH(disk.rawBlock(disk.numBlocks()), "out of range");
+    std::vector<uint8_t> buf(Disk::blockSize);
+    EXPECT_DEATH(disk.readBlock(disk.numBlocks(), buf.data()),
+                 "out of range");
+    EXPECT_DEATH(disk.dmaReadBlock(disk.numBlocks(), 0), "out of range");
+}
+
 TEST(Layout, SandboxTransform)
 {
     // Ghost addresses are pushed into the kernel half.
