@@ -101,11 +101,14 @@ reportPhase(BenchReport &report, const std::string &phase,
             .count("ghost_swapins", get("kernel.ghost_swapins"));
     }
 
-    std::printf("%-10s %-9s %7llu served %5llu drop  %9.0f req/s  "
-                "p99 %llu us\n",
+    std::printf("%-10s %-9s %7llu served %5llu drop %3llu fail %3llu "
+                "tenant-fail  %9.0f req/s  p99 %llu us\n",
                 phase.c_str(), lbPolicyName(cfg.policy),
                 (unsigned long long)res.served,
-                (unsigned long long)res.dropped, res.throughputRps(),
+                (unsigned long long)res.dropped,
+                (unsigned long long)res.failures,
+                (unsigned long long)res.tenantFailures,
+                res.throughputRps(),
                 (unsigned long long)(
                     double(lat.percentile(99)) /
                     sim::Clock::cyclesPerUsec));

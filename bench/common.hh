@@ -54,13 +54,11 @@ scaleName()
  * The one flag parser every bench binary shares. Recognized flags:
  *
  *   --vcpus N      simulated vCPUs (1-64, default 1)
- *   --legacy-io    synchronous device paths (VgConfig::asyncIo off;
- *                  VG_ASYNC_IO=0 in the environment does the same)
  *   --seed N       deterministic-schedule seed (default VgConfig's)
  *   --smoke        CI-sized run (same as VG_BENCH_SCALE=smoke)
  *
  * Unrecognized arguments are collected in `extra` for
- * binary-specific flags (--swap-ref, ...). apply() stamps the parsed
+ * binary-specific flags. apply() stamps the parsed
  * protection-independent knobs onto a VgConfig, so the
  * native-vs-full A/B pairs every harness builds stay identical in
  * everything but the protection toggles.
@@ -68,7 +66,6 @@ scaleName()
 struct BenchOpts
 {
     unsigned vcpus = 1;
-    bool legacyIo = false;
     uint64_t seed = sim::VgConfig{}.seed;
     bool smoke = false;
     std::vector<std::string> extra;
@@ -86,7 +83,6 @@ struct BenchOpts
     apply(sim::VgConfig vg) const
     {
         vg.vcpus = vcpus;
-        vg.asyncIo = !legacyIo;
         vg.seed = seed;
         return vg;
     }
@@ -102,8 +98,6 @@ parseBenchOpts(int argc, char **argv)
             long n = std::strtol(argv[++i], nullptr, 10);
             if (n >= 1 && n <= 64)
                 opts.vcpus = unsigned(n);
-        } else if (std::strcmp(argv[i], "--legacy-io") == 0) {
-            opts.legacyIo = true;
         } else if (std::strcmp(argv[i], "--seed") == 0 &&
                    i + 1 < argc) {
             opts.seed = std::strtoull(argv[++i], nullptr, 10);
@@ -113,9 +107,6 @@ parseBenchOpts(int argc, char **argv)
             opts.extra.push_back(argv[i]);
         }
     }
-    const char *env = std::getenv("VG_ASYNC_IO");
-    if (env && std::strcmp(env, "0") == 0)
-        opts.legacyIo = true;
     return opts;
 }
 

@@ -9,7 +9,7 @@ namespace vg::hw
 
 Disk::Disk(uint64_t blocks, Iommu &iommu, sim::SimContext &ctx)
     : _data(blocks, blockSize), _iommu(iommu), _ctx(ctx),
-      _queue(ctx.config().ringSize), _irq("disk.irq"),
+      _queue(ringSlots), _irq("disk.irq"),
       _hRequests(ctx.stats().handle("disk.requests")),
       _hBlocks(ctx.stats().handle("disk.blocks")),
       _hRingBlocked(ctx.stats().handle("disk.ring_blocked_dma"))

@@ -2,9 +2,11 @@
  * @file
  * Simulated SSD block device.
  *
- * Stores 4 KB blocks. Two access paths:
- *  - buffered path (readBlock/writeBlock) used by the kernel's buffer
- *    cache, which copies into kernel-heap buffers;
+ * Stores 4 KB blocks. Three access paths:
+ *  - the request queue (submit/doorbell/reapAll) used by the kernel's
+ *    buffer cache and swap area;
+ *  - synchronous readBlock/writeBlock, their fallback when the queue
+ *    is full;
  *  - DMA path (dmaReadBlock/dmaWriteBlock) that moves data directly
  *    to/from simulated physical frames through the IOMMU — the path a
  *    hostile OS would use to try to read ghost frames via a device.
@@ -54,7 +56,7 @@ class Disk
      *  the OS has full read/write access to persistent storage. */
     uint8_t *rawBlock(uint64_t block);
 
-    // --- Async request queue (VgConfig::asyncIo) ----------------------
+    // --- Request queue (descriptor ring) ------------------------------
     /** Post one request descriptor (charges descriptor setup). The
      *  descriptor names a block and either a host buffer or a DMA
      *  address. False when the queue is full. */

@@ -7,7 +7,7 @@ namespace vg::hw
 
 Nic::Nic(Iommu &iommu, sim::SimContext &ctx, const char *name)
     : _iommu(iommu), _ctx(ctx), _linkFreeAt(ctx.vcpuCount(), 0),
-      _tx(ctx.config().ringSize), _rx_ring(ctx.config().ringSize),
+      _tx(ringSlots), _rx_ring(ringSlots),
       _irq(std::string(name) + ".irq"),
       _hTxPackets(ctx.stats().handle("nic.tx_packets")),
       _hTxBytes(ctx.stats().handle("nic.tx_bytes")),
@@ -74,7 +74,7 @@ Nic::txDoorbell()
         if (e.desc.useDma) {
             // Every ring slot's DMA goes through the IOMMU: a hostile
             // OS pointing a descriptor at a ghost frame is blocked
-            // here, exactly like the legacy DMA path.
+            // here, exactly like a direct DMA call.
             if (!_iommu.dmaRead(e.desc.pa, packet.data(), e.desc.len)) {
                 e.error = true;
                 e.doneAt = _ctx.clock().now();
@@ -183,20 +183,6 @@ Nic::sendFromDma(Paddr pa, uint64_t len)
     if (!_iommu.dmaRead(pa, buf.data(), len))
         return false;
     send(buf);
-    return true;
-}
-
-bool
-Nic::receiveToDma(Paddr pa, uint64_t max_len, uint64_t &len_out)
-{
-    if (_rx.empty())
-        return false;
-    const std::vector<uint8_t> &p = _rx.front();
-    uint64_t n = std::min<uint64_t>(p.size(), max_len);
-    if (!_iommu.dmaWrite(pa, p.data(), n))
-        return false;
-    len_out = n;
-    _rx.pop_front();
     return true;
 }
 

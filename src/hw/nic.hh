@@ -39,13 +39,6 @@ class Nic
      *  transmission pipelines with computation. */
     uint64_t send(const std::vector<uint8_t> &packet);
 
-    /** Arrival time of the most recently sent packet (on the active
-     *  CPU's TX queue). */
-    uint64_t lastReadyAt() const
-    {
-        return _linkFreeAt[_ctx.activeCpu() % _linkFreeAt.size()];
-    }
-
     /** True if a received packet is waiting. */
     bool hasPacket() const { return !_rx.empty(); }
 
@@ -56,13 +49,10 @@ class Nic
      *  IOMMU blocks the read. */
     bool sendFromDma(Paddr pa, uint64_t len);
 
-    /** Receive into RAM via DMA; false if blocked or no packet. */
-    bool receiveToDma(Paddr pa, uint64_t max_len, uint64_t &len_out);
-
     uint64_t packetsSent() const { return _sent; }
     uint64_t packetsReceived() const { return _received; }
 
-    // --- Async ring interface (VgConfig::asyncIo) ---------------------
+    // --- Descriptor-ring interface -----------------------------------
     /** Post one TX descriptor (charges descriptor setup). False when
      *  the TX ring is full — the driver must reap first. */
     bool txPost(const RingDesc &d);

@@ -2,18 +2,17 @@
  * @file
  * Virtio-style descriptor rings and device interrupt lines.
  *
- * A DescRing is the shared shape of the async device protocol
- * (VgConfig::asyncIo): the driver *posts* descriptors into ring slots,
- * *doorbells* the device (one trusted-boundary crossing per batch, not
- * per request), the device moves data and marks slots *done* with a
- * completion timestamp, and the driver *reaps* completions — normally
- * in doorbell order, but slots carry a generation counter so a hostile
- * OS replaying a stale completion index is detected rather than
- * double-freeing a slot.
+ * A DescRing is the shared shape of the device protocol: the driver
+ * *posts* descriptors into ring slots, *doorbells* the device (one
+ * trusted-boundary crossing per batch, not per request), the device
+ * moves data and marks slots *done* with a completion timestamp, and
+ * the driver *reaps* completions — normally in doorbell order, but
+ * slots carry a generation counter so a hostile OS replaying a stale
+ * completion index is detected rather than double-freeing a slot.
  *
  * Data held in a descriptor is either a physical address (useDma), in
  * which case every access goes through the IOMMU exactly like the
- * legacy DMA paths — a descriptor aimed at a ghost frame is blocked
+ * direct DMA calls — a descriptor aimed at a ghost frame is blocked
  * and counted — or a kernel host buffer, the simulator's stand-in for
  * a bcache page handed to the device without an intermediate copy.
  *
@@ -100,6 +99,11 @@ struct RingCompletion
     uint32_t index = 0;    ///< slot index (replay-detection handle)
     uint32_t gen = 0;      ///< slot generation at completion
 };
+
+/** Descriptor slots per device ring (NIC TX and RX, disk request
+ *  queue). A driver that finds its ring full reaps completed slots
+ *  and retries. */
+inline constexpr unsigned ringSlots = 256;
 
 /** Fixed-size descriptor ring with doorbell/completion protocol. */
 class DescRing

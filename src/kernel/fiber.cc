@@ -17,6 +17,7 @@
 #endif
 
 #ifdef VG_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -50,6 +51,20 @@ finishSwitch(void *fake_stack, const void **old_bottom, size_t *old_size)
 #endif
 }
 
+/** Clear ASan's stack redzones from a fiber stack before it goes back
+ *  to the host: the shadow outlives munmap, and a later mapping at the
+ *  same address (machine storage, hw/zeroed.hh) would inherit them. */
+void
+unpoison(void *base, size_t size)
+{
+#ifdef VG_FIBER_ASAN
+    __asan_unpoison_memory_region(base, size);
+#else
+    (void)base;
+    (void)size;
+#endif
+}
+
 size_t
 guardBytes()
 {
@@ -65,9 +80,11 @@ guardBytes()
 
 StackPool::~StackPool()
 {
-    for (const FiberStack &s : _free)
+    for (const FiberStack &s : _free) {
+        unpoison(s.base, s.size);
         munmap(static_cast<char *>(s.base) - guardBytes(),
                s.size + guardBytes());
+    }
 }
 
 FiberStack

@@ -1,4 +1,5 @@
 #include <sstream>
+#include <string>
 
 #include "vir/text.hh"
 
@@ -12,7 +13,11 @@ void
 printInst(std::ostringstream &os, const Function &fn, const Inst &inst)
 {
     auto reg = [](int r) {
-        return "%" + std::to_string(r);
+        // Appended rather than "%" + to_string(r): GCC 12 at -O3 warns
+        // -Wrestrict on the operator+ form (GCC bug 105329).
+        std::string s = "%";
+        s += std::to_string(r);
+        return s;
     };
     auto label = [&](int t) {
         return fn.blocks[size_t(t)].name;

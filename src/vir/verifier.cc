@@ -20,10 +20,12 @@ VerifyResult::message() const
 namespace
 {
 
-/** Per-instruction register and target validation. */
+/** Per-instruction register, target and symbol validation. @p defined
+ *  names every function the module defines. */
 void
 checkInst(const Function &fn, const BasicBlock &bb, size_t idx,
-          const Inst &inst, std::vector<std::string> &errors)
+          const Inst &inst, const std::set<std::string> &defined,
+          std::vector<std::string> &errors)
 {
     auto err = [&](const std::string &what) {
         errors.push_back(sim::strprintf(
@@ -112,8 +114,12 @@ checkInst(const Function &fn, const BasicBlock &bb, size_t idx,
         break;
       case Opcode::FuncAddr:
         check_reg(inst.dst, "dst", true);
+        // Its address is laid out from the module's own functions; a
+        // symbol the module does not define has no address to take.
         if (inst.callee.empty())
             err("funcaddr without callee symbol");
+        else if (!defined.count(inst.callee))
+            err("funcaddr of undefined function @" + inst.callee);
         break;
       case Opcode::Ret:
         check_reg(inst.a, "value", false);
@@ -303,6 +309,9 @@ VerifyResult
 verify(const Module &mod)
 {
     VerifyResult result;
+    std::set<std::string> defined;
+    for (const auto &fn : mod.functions)
+        defined.insert(fn.name);
     std::set<std::string> names;
 
     for (const auto &fn : mod.functions) {
@@ -331,7 +340,8 @@ verify(const Module &mod)
                 continue;
             }
             for (size_t i = 0; i < bb.insts.size(); i++)
-                checkInst(fn, bb, i, bb.insts[i], result.errors);
+                checkInst(fn, bb, i, bb.insts[i], defined,
+                          result.errors);
         }
         // Dominance needs in-range registers (the bitsets index by
         // register number), so it only runs on structurally clean

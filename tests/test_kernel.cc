@@ -427,6 +427,29 @@ TEST(Kernel, UnsignedModuleTextRefused)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(Kernel, ModuleWithFuncaddrOfUndefinedFunctionRefused)
+{
+    // Parses, but takes the address of a function the module does not
+    // define: the translator must refuse it, not abort the machine.
+    System sys(smallConfig());
+    sys.boot();
+    const char *mod = R"(
+module "dangling"
+func @taker(0) {
+entry:
+  %0 = funcaddr @nosuchfn
+  ret %0
+}
+)";
+    std::string err;
+    EXPECT_FALSE(sys.kernel().loadModule("dangling", mod, &err));
+    EXPECT_NE(err.find("undefined function @nosuchfn"), std::string::npos)
+        << err;
+
+    // The machine is still up and serves processes.
+    EXPECT_EQ(sys.runProcess("after", [](UserApi &) { return 0; }), 0);
+}
+
 TEST(Kernel, OsRandomIsRiggableOnlyWithoutVg)
 {
     // Hostile kernel, no VG: rigged /dev/random returns constants.

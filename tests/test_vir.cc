@@ -114,6 +114,22 @@ TEST(Verifier, CatchesDuplicateFunction)
     EXPECT_NE(r.message().find("duplicate"), std::string::npos);
 }
 
+TEST(Verifier, CatchesFuncaddrOfUndefinedFunction)
+{
+    Module mod = buildAddMul();
+    IrBuilder b(mod);
+    b.beginFunction("taker", 0);
+    b.setInsertPoint(b.makeBlock("entry"));
+    b.ret(b.funcAddr("addmul"));
+    EXPECT_TRUE(verify(mod).ok()) << verify(mod).message();
+
+    mod.functions.back().blocks[0].insts[0].callee = "nosuchfn";
+    auto r = verify(mod);
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.message().find("undefined function @nosuchfn"),
+              std::string::npos);
+}
+
 TEST(Verifier, CatchesEmptyBlockAndHugeAlloca)
 {
     Module mod;

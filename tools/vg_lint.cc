@@ -163,7 +163,7 @@ printUsage(std::FILE *out)
         "                    and re-verify the spliced image; exit 1\n"
         "                    on findings\n"
         "\n"
-        "async I/O:\n"
+        "device rings:\n"
         "  --dump-rings      boot a machine, run a small disk+net\n"
         "                    workload through the descriptor rings and\n"
         "                    print live ring state (head/tail,\n"
@@ -474,7 +474,7 @@ printIrq(const hw::IrqLine &irq)
 
 /**
  * --dump-rings: boot a machine, push a small disk + network workload
- * through the async stack, then leave a few descriptors posted so the
+ * through the device rings, then leave a few descriptors posted so the
  * dump shows live in-flight state, not just drained rings.
  */
 int
@@ -547,12 +547,10 @@ dumpRings()
     rd.cookie = 3;
     sys.disk().submit(rd);
 
-    const sim::VgConfig &vg = sys.ctx().config();
-    std::printf("vg_lint: async I/O %s; ring size %u; coalescing "
-                "window %u us (%.0f cycles)\n",
-                vg.asyncIo ? "on" : "off", vg.ringSize,
-                vg.irqCoalesceUs,
-                vg.irqCoalesceUs * sim::Clock::cyclesPerUsec);
+    std::printf("vg_lint: ring size %u; coalescing window %u us "
+                "(%.0f cycles)\n",
+                hw::ringSlots, kern::Kernel::coalesceWindowUs,
+                kern::Kernel::coalesceWindowUs * sim::Clock::cyclesPerUsec);
     printRing("nicA.tx", sys.nicA().txRing());
     printRing("nicA.rx", sys.nicA().rxRing());
     printRing("nicB.tx", sys.nicB().txRing());
@@ -620,12 +618,10 @@ dumpSwap()
             if (!api.ghostRead(base + i * hw::pageSize, &v, sizeof(v)))
                 return 1;
 
-        const sim::VgConfig &vg = sys.ctx().config();
         const kern::SwapArea *swap = sys.kernel().swapArea();
-        std::printf("vg_lint: ghost swap: fast-path %s, eviction "
-                    "batch %u page(s), read cluster %u slot(s), "
-                    "seal-key gen %llu\n",
-                    vg.swapFastPath ? "on" : "off", vg.swapBatchPages,
+        std::printf("vg_lint: ghost swap: eviction batch %llu page(s), "
+                    "read cluster %u slot(s), seal-key gen %llu\n",
+                    (unsigned long long)kern::SwapArea::batchPages,
                     kern::SwapArea::readaheadSlots,
                     (unsigned long long)sys.vm().sealKeyGeneration());
         std::printf("vg_lint: swap area: %llu slot(s) x %llu blocks "
