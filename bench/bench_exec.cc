@@ -18,6 +18,11 @@
  * table and writes machine-readable results to BENCH_exec.json in the
  * current directory. Pass --smoke (or set VG_BENCH_SCALE=smoke) for a
  * fast CI run.
+ *
+ * Simulated counters (insts_per_call, mverify/iflow work, trace.*)
+ * come from a fixed number of calls after warm-up, so two runs write
+ * the same values. Only the host_* keys depend on the wall-clock
+ * budget; tools/bench_simdiff.py skips them.
  */
 
 #include <chrono>
@@ -73,6 +78,9 @@ class NullPort : public cc::MemPort
     bool copy(uint64_t, uint64_t, uint64_t) override { return true; }
 };
 
+/** Calls after warm-up that the simulated counters are taken from. */
+constexpr uint64_t kCountedCalls = 16;
+
 struct Result {
     std::string name;
     uint64_t instsPerCall = 0;
@@ -95,9 +103,10 @@ struct Result {
     uint64_t traceRetired = 0;
 };
 
-/** Translate kModuleSrc under @p vg, then call work(N) repeatedly for
- *  at least @p minSeconds of wall clock. With @p traceTier the
- *  executor's trace tier is enabled, so hot-loop passes run as
+/** Translate kModuleSrc under @p vg, call work(N) kCountedCalls times
+ *  for the simulated counters, then repeatedly for at least
+ *  @p minSeconds of wall clock for the host rates. With @p traceTier
+ *  the executor's trace tier is enabled, so hot-loop passes run as
  *  verified superinstruction blocks. */
 Result
 measure(const std::string &name, const sim::VgConfig &vg,
@@ -119,9 +128,8 @@ measure(const std::string &name, const sim::VgConfig &vg,
     if (traceTier)
         exec.enableTraceTier(tr);
 
-    // Warm up (also captures the per-call instruction count and, with
-    // the tier on, crosses the hot threshold so traces are formed and
-    // re-verified before timing starts).
+    // Warm up (with the tier on, this crosses the hot threshold so
+    // traces are formed and re-verified before anything is counted).
     auto warm = exec.call("work", {iters});
     if (!warm.ok) {
         std::fprintf(stderr, "%s: workload faulted: %s\n",
@@ -129,23 +137,13 @@ measure(const std::string &name, const sim::VgConfig &vg,
         std::exit(1);
     }
 
-    using clock = std::chrono::steady_clock;
-    uint64_t calls = 0, insts = 0;
-    auto start = clock::now();
-    double elapsed = 0;
-    do {
-        auto res = exec.call("work", {iters});
-        insts += res.instsExecuted;
-        calls++;
-        elapsed = std::chrono::duration<double>(clock::now() - start)
-                      .count();
-    } while (elapsed < minSeconds);
+    uint64_t insts = 0;
+    for (uint64_t i = 0; i < kCountedCalls; i++)
+        insts += exec.call("work", {iters}).instsExecuted;
 
     Result out;
     out.name = name;
-    out.instsPerCall = insts / calls;
-    out.usPerCall = elapsed * 1e6 / double(calls);
-    out.hostInstsPerSec = double(insts) / elapsed;
+    out.instsPerCall = insts / kCountedCalls;
     out.mverifyInsts = ctx.stats().get("mverify.insts");
     out.mverifyFindings = ctx.stats().get("mverify.findings");
     out.mverifyWallUs =
@@ -159,6 +157,20 @@ measure(const std::string &name, const sim::VgConfig &vg,
     out.traceExecuted = ctx.stats().get("trace.executed");
     out.traceSideExits = ctx.stats().get("trace.side_exits");
     out.traceRetired = ctx.stats().get("trace.retired_insts");
+
+    using clock = std::chrono::steady_clock;
+    uint64_t calls = 0;
+    uint64_t hostInsts = 0;
+    auto start = clock::now();
+    double elapsed = 0;
+    do {
+        hostInsts += exec.call("work", {iters}).instsExecuted;
+        calls++;
+        elapsed = std::chrono::duration<double>(clock::now() - start)
+                      .count();
+    } while (elapsed < minSeconds);
+    out.usPerCall = elapsed * 1e6 / double(calls);
+    out.hostInstsPerSec = double(hostInsts) / elapsed;
     return out;
 }
 
@@ -229,14 +241,14 @@ main(int argc, char **argv)
         const Result &r = results[i];
         std::fprintf(f,
                      "    {\"name\": \"%s\", \"insts_per_call\": %llu,"
-                     " \"us_per_call\": %.3f,"
+                     " \"host_us_per_call\": %.3f,"
                      " \"host_insts_per_sec\": %.1f,"
                      " \"mverify_insts\": %llu,"
                      " \"mverify_findings\": %llu,"
-                     " \"mverify_wall_us\": %.3f,"
+                     " \"host_mverify_wall_us\": %.3f,"
                      " \"iflow_insts\": %llu,"
                      " \"iflow_findings\": %llu,"
-                     " \"iflow_wall_us\": %.3f,"
+                     " \"host_iflow_wall_us\": %.3f,"
                      " \"trace_tier\": %s,"
                      " \"trace\": {\"formed\": %llu,"
                      " \"executed\": %llu, \"side_exits\": %llu,"
@@ -258,12 +270,12 @@ main(int argc, char **argv)
                      i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"fused_vs_unfused_speedup\": %.3f,\n",
+    std::fprintf(f, "  \"host_fused_vs_unfused_speedup\": %.3f,\n",
                  speedup);
     std::fprintf(f,
-                 "  \"trace_speedup\": %.3f,\n"
-                 "  \"trace_speedup_native\": %.3f,\n"
-                 "  \"trace_speedup_unfused\": %.3f\n}\n",
+                 "  \"host_trace_speedup\": %.3f,\n"
+                 "  \"host_trace_speedup_native\": %.3f,\n"
+                 "  \"host_trace_speedup_unfused\": %.3f\n}\n",
                  trFused, trNative, trUnfused);
     std::fclose(f);
     return 0;

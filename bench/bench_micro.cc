@@ -24,6 +24,7 @@
 #include "hw/layout.hh"
 #include "hw/tpm.hh"
 #include "kernel/kmem.hh"
+#include "oracle/crypto_ref.hh"
 #include "vir/text.hh"
 
 using namespace vg;
@@ -305,11 +306,11 @@ BM_KmemCopyOutIn(benchmark::State &state)
 BENCHMARK(BM_KmemCopyOutIn)->Arg(0)->Arg(1);
 
 // --------------------------------------------------------------------
-// Crypto hot path: host cost of the fast implementations (Arg 1:
-// T-table AES, one-shot SHA-256 finalize, precomputed HMAC states,
-// Montgomery modExp, cached seal keys) vs the reference path (Arg 0).
-// Outputs are bit-identical between the two (see the CryptoFastSweep
-// differential tests); only host wall time differs.
+// Crypto hot path: host cost of the production crypto (Arg 1: T-table
+// AES, one-shot SHA-256 finalize, precomputed HMAC states, Montgomery
+// modExp, cached seal keys) vs the textbook reference oracle from
+// tests/oracle (Arg 0). Outputs are bit-identical between the two (see
+// the CryptoFastSweep tests); only host wall time differs.
 // --------------------------------------------------------------------
 
 /** AES-128-CTR over 64 KiB, bytes/sec. */
@@ -319,11 +320,15 @@ BM_CryptoAesCtr(benchmark::State &state)
     AesKey key{};
     for (size_t i = 0; i < key.size(); i++)
         key[i] = uint8_t(0xa0 + i);
-    Aes128 aes(key, state.range(0) != 0);
+    Aes128 aes(key);
+    oracle::RefAes128 ref(key);
     AesBlock nonce{};
     std::vector<uint8_t> data(1 << 16, 0x11);
     for (auto _ : state) {
-        aes.ctrCrypt(data.data(), data.size(), nonce);
+        if (state.range(0))
+            aes.ctrCrypt(data.data(), data.size(), nonce);
+        else
+            data = ref.ctrCrypt(data, nonce);
         benchmark::DoNotOptimize(data.data());
     }
     state.SetBytesProcessed(int64_t(state.iterations()) *
@@ -335,11 +340,11 @@ BENCHMARK(BM_CryptoAesCtr)->Arg(0)->Arg(1);
 static void
 BM_CryptoSha256(benchmark::State &state)
 {
-    bool fast = state.range(0) != 0;
+    bool prod = state.range(0) != 0;
     std::vector<uint8_t> data(1 << 16, 0x5a);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            Sha256::hash(data.data(), data.size(), fast));
+        benchmark::DoNotOptimize(prod ? Sha256::hash(data)
+                                      : oracle::refSha256(data));
     }
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(data.size()));
@@ -347,30 +352,33 @@ BM_CryptoSha256(benchmark::State &state)
 BENCHMARK(BM_CryptoSha256)->Arg(0)->Arg(1);
 
 /**
- * Short-message HMAC with a long-lived key: the fast path reuses the
+ * Short-message HMAC with a long-lived key: production reuses the
  * precomputed ipad/opad states instead of rehashing the key blocks.
  */
 static void
 BM_CryptoHmacPerKey(benchmark::State &state)
 {
+    bool prod = state.range(0) != 0;
     std::vector<uint8_t> key(32, 0x22);
     std::vector<uint8_t> msg(64, 0x33);
-    HmacSha256 mac(key, state.range(0) != 0);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(mac.mac(msg));
+    HmacSha256 mac(key);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(prod ? mac.mac(msg)
+                                      : oracle::refHmacSha256(key, msg));
+    }
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_CryptoHmacPerKey)->Arg(0)->Arg(1);
 
 /**
  * modExp with a full-width exponent over a fixed odd modulus —
- * Args are {fast, modulus bits}. 512-bit matches the simulated RSA
+ * Args are {production, modulus bits}. 512-bit matches the simulated RSA
  * sizes; 2048-bit is the acceptance target (>= 5x).
  */
 static void
 BM_CryptoModExp(benchmark::State &state)
 {
-    bool fast = state.range(0) != 0;
+    bool prod = state.range(0) != 0;
     size_t bits = size_t(state.range(1));
     CtrDrbg rng({'m', 'e'});
     BigNum mod = BigNum::fromBytes(rng.generate(bits / 8));
@@ -379,7 +387,8 @@ BM_CryptoModExp(benchmark::State &state)
     BigNum base = BigNum::fromBytes(rng.generate(bits / 8)) % mod;
     BigNum exp = BigNum::fromBytes(rng.generate(bits / 8));
     for (auto _ : state)
-        benchmark::DoNotOptimize(base.modExp(exp, mod, fast));
+        benchmark::DoNotOptimize(prod ? base.modExp(exp, mod)
+                                      : oracle::refModExp(base, exp, mod));
 }
 BENCHMARK(BM_CryptoModExp)
     ->Args({0, 512})
@@ -391,13 +400,15 @@ BENCHMARK(BM_CryptoModExp)
 static void
 BM_CryptoSeal(benchmark::State &state)
 {
-    bool fast = state.range(0) != 0;
+    bool prod = state.range(0) != 0;
     AesKey master{};
     master[0] = 0x7e;
     CtrDrbg rng({'s', 'l'});
     std::vector<uint8_t> plain(hw::pageSize, 0x44);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(seal(master, rng, plain, {}, fast));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(prod ? seal(master, rng, plain)
+                                      : oracle::refSeal(master, rng, plain));
+    }
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(plain.size()));
 }
@@ -407,15 +418,16 @@ BENCHMARK(BM_CryptoSeal)->Arg(0)->Arg(1);
 static void
 BM_CryptoUnseal(benchmark::State &state)
 {
-    bool fast = state.range(0) != 0;
+    bool prod = state.range(0) != 0;
     AesKey master{};
     master[0] = 0x7f;
     CtrDrbg rng({'u', 'l'});
     std::vector<uint8_t> plain(hw::pageSize, 0x45);
-    SealedBlob blob = seal(master, rng, plain, {}, fast);
+    SealedBlob blob = seal(master, rng, plain);
     for (auto _ : state) {
         bool ok = false;
-        benchmark::DoNotOptimize(unseal(master, blob, ok, {}, fast));
+        benchmark::DoNotOptimize(prod ? unseal(master, blob, ok)
+                                      : oracle::refUnseal(master, blob, ok));
         benchmark::DoNotOptimize(ok);
     }
     state.SetBytesProcessed(int64_t(state.iterations()) *
@@ -437,16 +449,8 @@ struct GhostSwapRig
     sva::SvaVm vm;
     std::deque<hw::Frame> freeFrames;
 
-    static sim::VgConfig
-    configFor(bool fast)
-    {
-        sim::VgConfig cfg = sim::VgConfig::full();
-        cfg.cryptoFastPath = fast;
-        return cfg;
-    }
-
-    explicit GhostSwapRig(bool fast)
-        : ctx(configFor(fast)), mem(256), mmu(mem, ctx),
+    GhostSwapRig()
+        : ctx(sim::VgConfig::full()), mem(256), mmu(mem, ctx),
           iommu(mem, ctx), tpm({'b', 'g'}),
           vm(ctx, mem, mmu, iommu, tpm)
     {
@@ -475,7 +479,7 @@ struct GhostSwapRig
 static void
 BM_CryptoGhostSwap(benchmark::State &state)
 {
-    GhostSwapRig rig(state.range(0) != 0);
+    GhostSwapRig rig;
     sva::SvaError err;
     for (auto _ : state) {
         auto blob =
@@ -487,7 +491,7 @@ BM_CryptoGhostSwap(benchmark::State &state)
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(hw::pageSize));
 }
-BENCHMARK(BM_CryptoGhostSwap)->Arg(0)->Arg(1);
+BENCHMARK(BM_CryptoGhostSwap);
 
 /**
  * Like BENCHMARK_MAIN(), but defaults --benchmark_out to

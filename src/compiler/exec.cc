@@ -138,8 +138,6 @@ Executor::enableTraceTier(Translator &translator)
     _traceTr = &translator;
     _tier = true;
     _hotThreshold = cfg.traceHotThreshold;
-    _traceMaxInsts = cfg.traceMaxInsts;
-    _traceMaxPerImage = cfg.traceMaxPerImage;
     _origLen = uint32_t(_image.code.size());
     _hotCount.assign(_origLen, 0);
     _blacklist.assign(_origLen, 0);
@@ -157,7 +155,7 @@ Executor::profileAnchor(uint32_t anchor)
         return;
     if (_traceIdx[anchor] >= 0 || _blacklist[anchor])
         return;
-    if (_traces.size() >= _traceMaxPerImage)
+    if (_traces.size() >= traceMaxPerImage)
         return;
     if (++_hotCount[anchor] < _hotThreshold)
         return;
@@ -1410,7 +1408,7 @@ Executor::run(const FuncInfo &entry_fn, const std::vector<uint64_t> &args)
                 bool formed = false;
                 if (next_pc == _rec.anchorIdx)
                     formed = endRecording(true, 0);
-                else if (_rec.steps.size() >= _traceMaxInsts)
+                else if (_rec.steps.size() >= traceMaxInsts)
                     formed = endRecording(false, uint32_t(next_pc));
                 if (formed) {
                     code = _decoded.data();

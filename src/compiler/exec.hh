@@ -113,6 +113,13 @@ const char *faultName(ExecFault fault);
 class Executor
 {
   public:
+    /** Maximum recorded instructions per trace; longer paths are cut
+     *  into a linear trace at the cap. */
+    static constexpr size_t traceMaxInsts = 512;
+
+    /** Maximum traces spliced into one image. */
+    static constexpr size_t traceMaxPerImage = 64;
+
     /**
      * @param stack_base  lowest address of the module stack region
      * @param stack_size  bytes available for frames
@@ -349,8 +356,6 @@ class Executor
     Translator *_traceTr = nullptr;
     uint32_t _origLen = 0;          ///< base-image instruction count
     uint32_t _hotThreshold = 50;
-    size_t _traceMaxInsts = 512;
-    size_t _traceMaxPerImage = 64;
     std::vector<uint32_t> _hotCount;  ///< per-anchor profiling counters
     std::vector<uint8_t> _blacklist;  ///< anchors that failed to splice
     std::vector<int32_t> _traceIdx;   ///< anchor idx -> _traces index

@@ -8,6 +8,10 @@
  *  - the VG VM encrypts+MACs ghost pages before swap-out (S 3.3),
  *  - applications protect file data written through the hostile OS
  *    (S 3.3, encrypted checksum scheme).
+ *
+ * The derive-every-call reference construction lives in the test
+ * oracle (tests/oracle/crypto_ref.hh); CryptoFastSweep checks that
+ * both produce byte-identical blobs.
  */
 
 #ifndef VG_CRYPTO_SEALED_HH
@@ -43,13 +47,14 @@ struct SealedBlob
  * @param aad optional associated data bound into the MAC (e.g. a page's
  *            virtual address for swap, so pages cannot be swapped back
  *            to the wrong location).
- * @param fast use the cached derived-key fast path (default); the
- *             reference path re-derives both subkeys per call. Blobs
- *             are bit-identical either way.
+ *
+ * The two derived subkeys (cipher and MAC) and their schedules are
+ * cached per master key, so repeated seals under one key pay the key
+ * derivation once.
  */
 SealedBlob seal(const AesKey &key, CtrDrbg &rng,
                 const std::vector<uint8_t> &plain,
-                const std::vector<uint8_t> &aad = {}, bool fast = true);
+                const std::vector<uint8_t> &aad = {});
 
 /** One element of a sealBatch() call: plaintext plus the associated
  *  data bound into its MAC. */
@@ -61,15 +66,13 @@ struct SealInput
 
 /**
  * Seal a batch of plaintexts under one key in a scatter-gather
- * pipeline: the KDF passes, AES key schedule, and HMAC pad states are
- * set up once and reused across the whole batch (the per-call setup
- * that seal() pays every time). Nonces are drawn from @p rng in batch
- * order, so the output is bit-identical to calling seal() on each
- * element in sequence.
+ * pipeline: the cached subkey schedules are looked up once for the
+ * whole batch. Nonces are drawn from @p rng in batch order, so the
+ * output is bit-identical to calling seal() on each element in
+ * sequence.
  */
 std::vector<SealedBlob> sealBatch(const AesKey &key, CtrDrbg &rng,
-                                  const std::vector<SealInput> &batch,
-                                  bool fast = true);
+                                  const std::vector<SealInput> &batch);
 
 /**
  * Verify and decrypt a sealed blob.
@@ -77,8 +80,7 @@ std::vector<SealedBlob> sealBatch(const AesKey &key, CtrDrbg &rng,
  */
 std::vector<uint8_t> unseal(const AesKey &key, const SealedBlob &blob,
                             bool &ok,
-                            const std::vector<uint8_t> &aad = {},
-                            bool fast = true);
+                            const std::vector<uint8_t> &aad = {});
 
 } // namespace vg::crypto
 

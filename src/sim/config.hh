@@ -63,14 +63,6 @@ struct VgConfig
      */
     bool kmemFastPath = true;
 
-    /**
-     * Use the crypto fast paths: T-table AES, one-shot SHA-256
-     * finalize, Montgomery modExp, and cached seal-key derivation.
-     * Outputs are bit-identical to the reference implementations;
-     * disabling this exists for differential testing only.
-     */
-    bool cryptoFastPath = true;
-
     /** Run-time checks on MMU configuration intrinsics (S 4.3.2). */
     bool mmuChecks = true;
 
@@ -103,13 +95,6 @@ struct VgConfig
     /** Executions of a back edge / function entry before a trace is
      *  recorded there (trace-tier knob). */
     unsigned traceHotThreshold = 50;
-
-    /** Maximum recorded instructions per trace; longer paths are cut
-     *  into a linear trace at the cap (trace-tier knob). */
-    unsigned traceMaxInsts = 512;
-
-    /** Maximum traces spliced into one image (trace-tier knob). */
-    unsigned traceMaxPerImage = 64;
 
     /**
      * Deterministic-schedule seed. Everything in the simulator that

@@ -1,12 +1,13 @@
 /**
  * @file
- * The crypto fast paths (T-table AES, one-shot SHA-256, precomputed
+ * The production crypto (T-table AES, one-shot SHA-256, precomputed
  * HMAC states, Montgomery modExp, cached seal keys) must be *bit
- * identical* to the reference implementations: same ciphertexts, same
- * digests, same MACs, same sealed blobs, same swapped-page bytes.
- * VgConfig::cryptoFastPath=false (or `fast=false` on the primitive)
- * selects the reference path; these tests run both side by side on
- * random inputs.
+ * identical* to the reference oracle in tests/oracle/crypto_ref.hh:
+ * same ciphertexts, same digests, same MACs, same sealed blobs and
+ * RSA bytes. These tests run both side by side on random inputs. The
+ * machine-level ghost-page swap is pinned to constants captured while
+ * a second machine running the reference ciphers matched it in
+ * lockstep.
  */
 
 #include <gtest/gtest.h>
@@ -27,21 +28,15 @@
 #include "hw/mmu.hh"
 #include "hw/phys_mem.hh"
 #include "hw/tpm.hh"
+#include "oracle/crypto_ref.hh"
 #include "sva/vm.hh"
 
 using namespace vg;
 using namespace vg::crypto;
+using namespace vg::oracle;
 
 namespace
 {
-
-sim::VgConfig
-cfgFor(bool fast)
-{
-    sim::VgConfig cfg = sim::VgConfig::full();
-    cfg.cryptoFastPath = fast;
-    return cfg;
-}
 
 AesKey
 randomKey(CtrDrbg &rng)
@@ -72,49 +67,50 @@ TEST_P(CryptoFastSweep, AesPrimitives)
     CtrDrbg r = rng();
     for (int round = 0; round < 20; round++) {
         AesKey key = randomKey(r);
-        Aes128 fast(key, true);
-        Aes128 ref(key, false);
+        Aes128 prod(key);
+        RefAes128 ref(key);
 
-        uint8_t blkF[16], blkR[16];
-        r.generate(blkF, 16);
-        std::memcpy(blkR, blkF, 16);
-        fast.encryptBlock(blkF);
+        uint8_t blkP[16], blkR[16];
+        r.generate(blkP, 16);
+        std::memcpy(blkR, blkP, 16);
+        prod.encryptBlock(blkP);
         ref.encryptBlock(blkR);
-        ASSERT_EQ(std::memcmp(blkF, blkR, 16), 0) << "round " << round;
-        fast.decryptBlock(blkF);
+        ASSERT_EQ(std::memcmp(blkP, blkR, 16), 0) << "round " << round;
+        prod.decryptBlock(blkP);
         ref.decryptBlock(blkR);
-        ASSERT_EQ(std::memcmp(blkF, blkR, 16), 0) << "round " << round;
+        ASSERT_EQ(std::memcmp(blkP, blkR, 16), 0) << "round " << round;
 
         AesBlock iv{};
         r.generate(iv.data(), iv.size());
         size_t len = size_t(r.nextBounded(600));
         std::vector<uint8_t> plain = r.generate(len);
 
-        auto ctrF = fast.ctrCrypt(plain, iv);
+        auto ctrP = prod.ctrCrypt(plain, iv);
         auto ctrR = ref.ctrCrypt(plain, iv);
-        ASSERT_EQ(ctrF, ctrR) << "ctr len " << len;
-        ASSERT_EQ(fast.ctrCrypt(ctrF, iv), plain);
+        ASSERT_EQ(ctrP, ctrR) << "ctr len " << len;
+        ASSERT_EQ(prod.ctrCrypt(ctrP, iv), plain);
 
-        auto cbcF = fast.cbcEncrypt(plain, iv);
+        auto cbcP = prod.cbcEncrypt(plain, iv);
         auto cbcR = ref.cbcEncrypt(plain, iv);
-        ASSERT_EQ(cbcF, cbcR) << "cbc len " << len;
-        bool okF = false, okR = false;
-        auto backF = fast.cbcDecrypt(cbcF, iv, okF);
-        auto backR = ref.cbcDecrypt(cbcR, iv, okR);
-        ASSERT_TRUE(okF && okR);
-        ASSERT_EQ(backF, plain);
+        ASSERT_EQ(cbcP, cbcR) << "cbc len " << len;
+        bool okP = false, okR = false;
+        auto backP = prod.cbcDecrypt(cbcP, iv, okP);
+        auto backR = ref.cbcDecrypt(cbcP, iv, okR);
+        ASSERT_TRUE(okP && okR);
+        ASSERT_EQ(backP, plain);
         ASSERT_EQ(backR, plain);
     }
 
     // A nonce near the 64-bit counter boundary exercises the carry
-    // chain identically on both CTR paths.
+    // chain of both CTR implementations.
     AesKey key = randomKey(r);
-    Aes128 fast(key, true), ref(key, false);
+    Aes128 prod(key);
+    RefAes128 ref(key);
     AesBlock nonce{};
     for (int i = 8; i < 16; i++)
         nonce[size_t(i)] = 0xff;
     std::vector<uint8_t> data = r.generate(128);
-    ASSERT_EQ(fast.ctrCrypt(data, nonce), ref.ctrCrypt(data, nonce));
+    ASSERT_EQ(prod.ctrCrypt(data, nonce), ref.ctrCrypt(data, nonce));
 }
 
 // --------------------------------------------------------------------
@@ -126,37 +122,36 @@ TEST_P(CryptoFastSweep, ShaAndHmac)
     CtrDrbg r = rng();
     for (size_t len = 0; len < 200; len++) {
         std::vector<uint8_t> msg = r.generate(len);
-        ASSERT_EQ(Sha256::hash(msg, true), Sha256::hash(msg, false))
-            << "len " << len;
+        ASSERT_EQ(Sha256::hash(msg), refSha256(msg)) << "len " << len;
     }
     for (int round = 0; round < 10; round++) {
         std::vector<uint8_t> msg =
             r.generate(size_t(r.nextBounded(8192)));
-        Digest ref = Sha256::hash(msg, false);
-        ASSERT_EQ(Sha256::hash(msg, true), ref);
+        Digest ref = refSha256(msg);
+        ASSERT_EQ(Sha256::hash(msg), ref);
 
-        // Random chunking must not change the digest on either path.
-        for (bool fast : {true, false}) {
-            Sha256 h(fast);
-            size_t off = 0;
-            while (off < msg.size()) {
-                size_t n = std::min<size_t>(r.nextBounded(200) + 1,
-                                            msg.size() - off);
-                h.update(msg.data() + off, n);
-                off += n;
-            }
-            ASSERT_EQ(h.final(), ref) << "fast=" << fast;
+        // Random chunking must not change either digest.
+        Sha256 prodH;
+        RefSha256 refH;
+        size_t off = 0;
+        while (off < msg.size()) {
+            size_t n = std::min<size_t>(r.nextBounded(200) + 1,
+                                        msg.size() - off);
+            prodH.update(msg.data() + off, n);
+            refH.update(msg.data() + off, n);
+            off += n;
         }
+        ASSERT_EQ(prodH.final(), ref);
+        ASSERT_EQ(refH.final(), ref);
     }
     for (size_t key_len = 0; key_len < 150; key_len += 7) {
         std::vector<uint8_t> key = r.generate(key_len);
         std::vector<uint8_t> msg =
             r.generate(size_t(r.nextBounded(500)));
-        Digest ref = hmacSha256(key, msg.data(), msg.size(), false);
-        ASSERT_EQ(hmacSha256(key, msg.data(), msg.size(), true), ref)
+        Digest ref = refHmacSha256(key, msg);
+        ASSERT_EQ(hmacSha256(key, msg.data(), msg.size()), ref)
             << "key len " << key_len;
-        ASSERT_EQ(HmacSha256(key, true).mac(msg), ref);
-        ASSERT_EQ(HmacSha256(key, false).mac(msg), ref);
+        ASSERT_EQ(HmacSha256(key).mac(msg), ref);
     }
 }
 
@@ -176,23 +171,24 @@ TEST_P(CryptoFastSweep, ModExp)
             BigNum::fromBytes(r.generate(size_t(r.nextBounded(64)) + 1));
         BigNum exp =
             BigNum::fromBytes(r.generate(size_t(r.nextBounded(8)) + 1));
-        ASSERT_EQ(base.modExp(exp, mod, true),
-                  base.modExp(exp, mod, false))
+        ASSERT_EQ(base.modExp(exp, mod), refModExp(base, exp, mod))
             << "round " << round << " mod " << mod.toHex();
     }
 
-    // Directed edges: trivial modulus, even modulus (reference
-    // fallback), zero exponent, zero base, base == mod.
+    // Directed edges: trivial modulus, even modulus (no Montgomery
+    // form), zero exponent, zero base, base == mod.
     BigNum m = BigNum::fromHex("f123456789abcdef123457");
     BigNum even = BigNum::fromHex("f123456789abcdef123456");
     BigNum b = BigNum::fromHex("123456789");
-    EXPECT_EQ(b.modExp(BigNum(5), BigNum(1), true), BigNum());
-    EXPECT_EQ(b.modExp(BigNum(77), even, true),
-              b.modExp(BigNum(77), even, false));
-    EXPECT_EQ(b.modExp(BigNum(), m, true), BigNum(1));
-    EXPECT_EQ(BigNum().modExp(BigNum(9), m, true),
-              BigNum().modExp(BigNum(9), m, false));
-    EXPECT_EQ(m.modExp(BigNum(3), m, true), BigNum());
+    EXPECT_EQ(b.modExp(BigNum(5), BigNum(1)), BigNum());
+    EXPECT_EQ(refModExp(b, BigNum(5), BigNum(1)), BigNum());
+    EXPECT_EQ(b.modExp(BigNum(77), even), refModExp(b, BigNum(77), even));
+    EXPECT_EQ(b.modExp(BigNum(), m), BigNum(1));
+    EXPECT_EQ(refModExp(b, BigNum(), m), BigNum(1));
+    EXPECT_EQ(BigNum().modExp(BigNum(9), m),
+              refModExp(BigNum(), BigNum(9), m));
+    EXPECT_EQ(m.modExp(BigNum(3), m), BigNum());
+    EXPECT_EQ(refModExp(m, BigNum(3), m), BigNum());
 
     // A 2048-bit odd modulus with 64-bit exponents (the reference
     // ladder is too slow for full-width exponents here).
@@ -202,14 +198,14 @@ TEST_P(CryptoFastSweep, ModExp)
     for (int round = 0; round < 3; round++) {
         BigNum base = BigNum::fromBytes(r.generate(256));
         BigNum exp(r.next64());
-        ASSERT_EQ(base.modExp(exp, wide, true),
-                  base.modExp(exp, wide, false))
+        ASSERT_EQ(base.modExp(exp, wide), refModExp(base, exp, wide))
             << "wide round " << round;
     }
 }
 
 // --------------------------------------------------------------------
-// RSA: identical signatures and ciphertexts (cloned DRBG streams).
+// RSA: identical signatures and ciphertexts (cloned DRBG streams), and
+// each side accepts what the other produced.
 // --------------------------------------------------------------------
 
 TEST_P(CryptoFastSweep, RsaOps)
@@ -222,27 +218,31 @@ TEST_P(CryptoFastSweep, RsaOps)
         std::vector<uint8_t> msg =
             r.generate(size_t(r.nextBounded(200)) + 1);
 
-        auto sigF = rsaSign(key, msg, true);
-        auto sigR = rsaSign(key, msg, false);
-        ASSERT_EQ(sigF, sigR) << "round " << round;
-        EXPECT_TRUE(rsaVerify(key.publicKey(), msg, sigF, true));
-        EXPECT_TRUE(rsaVerify(key.publicKey(), msg, sigF, false));
+        auto sigP = rsaSign(key, msg);
+        auto sigR = refRsaSign(key, msg);
+        ASSERT_EQ(sigP, sigR) << "round " << round;
+        EXPECT_TRUE(rsaVerify(key.publicKey(), msg, sigR));
+        EXPECT_TRUE(refRsaVerify(key.publicKey(), msg, sigP));
+        std::vector<uint8_t> other = msg;
+        other[0] ^= 0x01;
+        EXPECT_FALSE(rsaVerify(key.publicKey(), other, sigP));
+        EXPECT_FALSE(refRsaVerify(key.publicKey(), other, sigP));
 
         std::vector<uint8_t> shortMsg = r.generate(16);
-        CtrDrbg padF({uint8_t(round), 'p'});
+        CtrDrbg padP({uint8_t(round), 'p'});
         CtrDrbg padR({uint8_t(round), 'p'});
-        auto cF = rsaEncrypt(key.publicKey(), padF, shortMsg, true);
-        auto cR = rsaEncrypt(key.publicKey(), padR, shortMsg, false);
-        ASSERT_EQ(cF, cR) << "round " << round;
-        bool okF = false, okR = false;
-        ASSERT_EQ(rsaDecrypt(key, cF, okF, true), shortMsg);
-        ASSERT_EQ(rsaDecrypt(key, cF, okR, false), shortMsg);
-        EXPECT_TRUE(okF && okR);
+        auto cP = rsaEncrypt(key.publicKey(), padP, shortMsg);
+        auto cR = refRsaEncrypt(key.publicKey(), padR, shortMsg);
+        ASSERT_EQ(cP, cR) << "round " << round;
+        bool okP = false, okR = false;
+        ASSERT_EQ(rsaDecrypt(key, cR, okP), shortMsg);
+        ASSERT_EQ(refRsaDecrypt(key, cP, okR), shortMsg);
+        EXPECT_TRUE(okP && okR);
     }
 }
 
 // --------------------------------------------------------------------
-// Sealed blobs: byte-identical output, tamper detection on both paths.
+// Sealed blobs: byte-identical output, tamper detection on both sides.
 // --------------------------------------------------------------------
 
 TEST_P(CryptoFastSweep, SealedBlobs)
@@ -260,35 +260,36 @@ TEST_P(CryptoFastSweep, SealedBlobs)
         std::vector<uint8_t> aad =
             r.generate(size_t(r.nextBounded(32)));
 
-        CtrDrbg rngF({uint8_t(round), 's'});
+        CtrDrbg rngP({uint8_t(round), 's'});
         CtrDrbg rngR({uint8_t(round), 's'});
-        SealedBlob blobF = seal(key, rngF, plain, aad, true);
-        SealedBlob blobR = seal(key, rngR, plain, aad, false);
-        ASSERT_EQ(blobF.serialize(), blobR.serialize())
+        SealedBlob blobP = seal(key, rngP, plain, aad);
+        SealedBlob blobR = refSeal(key, rngR, plain, aad);
+        ASSERT_EQ(blobP.serialize(), blobR.serialize())
             << "round " << round;
 
-        bool okF = false, okR = false;
-        ASSERT_EQ(unseal(key, blobF, okF, aad, true), plain);
-        ASSERT_EQ(unseal(key, blobF, okR, aad, false), plain);
-        EXPECT_TRUE(okF && okR);
+        bool okP = false, okR = false;
+        ASSERT_EQ(unseal(key, blobR, okP, aad), plain);
+        ASSERT_EQ(refUnseal(key, blobP, okR, aad), plain);
+        EXPECT_TRUE(okP && okR);
 
-        if (!blobF.ciphertext.empty()) {
-            SealedBlob bad = blobF;
+        if (!blobP.ciphertext.empty()) {
+            SealedBlob bad = blobP;
             bad.ciphertext[size_t(r.nextBounded(
                 bad.ciphertext.size()))] ^= 0x01;
-            okF = okR = true;
-            unseal(key, bad, okF, aad, true);
-            unseal(key, bad, okR, aad, false);
-            EXPECT_FALSE(okF);
+            okP = okR = true;
+            unseal(key, bad, okP, aad);
+            refUnseal(key, bad, okR, aad);
+            EXPECT_FALSE(okP);
             EXPECT_FALSE(okR);
         }
     }
 }
 
 // --------------------------------------------------------------------
-// Ghost-page swap: two booted machines, cryptoFastPath on vs off,
-// random swap-out/swap-in traffic in lockstep. Blobs, RAM, simulated
-// time, and stats must all agree.
+// Ghost-page swap: one booted machine, random swap-out/swap-in traffic
+// with tampered pages mixed in. Blobs, RAM, simulated time and stats
+// must match constants pinned from a run in which the reference
+// ciphers and the production ones agreed byte for byte.
 // --------------------------------------------------------------------
 
 namespace
@@ -306,9 +307,9 @@ struct SwapRig
 
     static constexpr int kPages = 4;
 
-    explicit SwapRig(bool fast)
-        : ctx(cfgFor(fast)), mem(512), mmu(mem, ctx), iommu(mem, ctx),
-          tpm({'c', 's'}), vm(ctx, mem, mmu, iommu, tpm)
+    SwapRig()
+        : ctx(sim::VgConfig::full()), mem(512), mmu(mem, ctx),
+          iommu(mem, ctx), tpm({'c', 's'}), vm(ctx, mem, mmu, iommu, tpm)
     {
         vm.install(384);
         vm.boot();
@@ -346,74 +347,118 @@ struct SwapRig
     }
 };
 
+/** FNV-1a over a byte range, chained through @p h. */
+uint64_t
+fnv(const uint8_t *p, size_t n, uint64_t h = 1469598103934665603ull)
+{
+    for (size_t i = 0; i < n; i++) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** FNV-1a over "name=value\n" for every stat, in name order. */
+uint64_t
+statMapDigest(const std::map<std::string, uint64_t> &stats)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (const auto &[name, value] : stats) {
+        std::string line = name + "=" + std::to_string(value) + "\n";
+        h = fnv(reinterpret_cast<const uint8_t *>(line.data()),
+                line.size(), h);
+    }
+    return h;
+}
+
+/** Pinned outcome of the GhostPageSwap traffic for one seed. */
+struct SwapGolden
+{
+    int seed;
+    size_t blobs;         ///< swap-outs performed
+    uint64_t blobDigest;  ///< FNV-1a over every serialized blob, in order
+    sim::Cycles clock;    ///< final simulated time
+    size_t statCount;     ///< entries in the stat map
+    uint64_t statDigest;  ///< statMapDigest() of the final stat map
+    uint64_t ramDigest;   ///< FNV-1a over all of physical memory
+};
+
+/** Captured while the byte-wise reference ciphers still ran as a second
+ *  machine in lockstep and matched this one on every blob, every clock
+ *  reading, the full stat map and every RAM frame. */
+constexpr SwapGolden kSwapGolden[] = {
+    {1, 102, 0xebb8a10387b0866bull, 30950227, 30, 0x5864acca974ff3d9ull,
+     0xe2bbd87f7eef0058ull},
+    {2, 102, 0x7ca864350d4de490ull, 31080803, 30, 0xbfa4b5cc4807f714ull,
+     0x540a4d4536a183b5ull},
+    {3, 101, 0x120e67b63f91891cull, 29252739, 30, 0x3f4af98a3c68737full,
+     0xa8fd81fee6b7b3d9ull},
+    {4, 102, 0xf3a04047c7a32a98ull, 30166771, 30, 0x9103f759af1a0d64ull,
+     0x34a0cabb2ef29f9full},
+};
+
 } // namespace
 
 TEST_P(CryptoFastSweep, GhostPageSwap)
 {
+    const SwapGolden &g = kSwapGolden[GetParam() - 1];
+    ASSERT_EQ(g.seed, GetParam());
     CtrDrbg r = rng();
-    SwapRig fast(true);
-    SwapRig ref(false);
+    SwapRig rig;
 
-    std::vector<uint8_t> fill =
-        r.generate(SwapRig::kPages * hw::pageSize);
-    fast.fillGhostFrames(fill);
-    ref.fillGhostFrames(fill);
+    rig.fillGhostFrames(r.generate(SwapRig::kPages * hw::pageSize));
 
     std::map<hw::Vaddr, SealedBlob> swapped;
-    sva::SvaError errF, errR;
+    sva::SvaError err;
+    size_t blobs = 0;
+    uint64_t blobDigest = fnv(nullptr, 0);
 
     for (int op = 0; op < 200; op++) {
         hw::Vaddr va =
             hw::ghostBase + r.nextBounded(SwapRig::kPages) * hw::pageSize;
         auto it = swapped.find(va);
         if (it == swapped.end()) {
-            auto blobF = fast.vm.swapOutGhostPage(1, 0, va, &errF);
-            auto blobR = ref.vm.swapOutGhostPage(1, 0, va, &errR);
-            ASSERT_TRUE(blobF.has_value()) << "op " << op;
-            ASSERT_TRUE(blobR.has_value()) << "op " << op;
-            // The tentpole claim: byte-identical sealed blobs.
-            ASSERT_EQ(blobF->serialize(), blobR->serialize())
-                << "op " << op;
-            swapped.emplace(va, *blobF);
+            auto blob = rig.vm.swapOutGhostPage(1, 0, va, &err);
+            ASSERT_TRUE(blob.has_value()) << "op " << op;
+            std::vector<uint8_t> bytes = blob->serialize();
+            blobDigest = fnv(bytes.data(), bytes.size(), blobDigest);
+            blobs++;
+            swapped.emplace(va, *blob);
         } else {
             if (r.nextBounded(4) == 0) {
-                // Tampered page: both paths must reject it.
+                // A tampered page must be rejected.
                 SealedBlob bad = it->second;
                 bad.ciphertext[size_t(r.nextBounded(
                     bad.ciphertext.size()))] ^= 0x40;
-                EXPECT_FALSE(fast.vm.swapInGhostPage(1, 0, va, bad,
-                                                     &errF));
-                EXPECT_FALSE(ref.vm.swapInGhostPage(1, 0, va, bad,
-                                                    &errR));
+                EXPECT_FALSE(rig.vm.swapInGhostPage(1, 0, va, bad, &err))
+                    << "op " << op;
             }
-            ASSERT_TRUE(fast.vm.swapInGhostPage(1, 0, va, it->second,
-                                                &errF))
-                << "op " << op << ": " << errF.message;
-            ASSERT_TRUE(ref.vm.swapInGhostPage(1, 0, va, it->second,
-                                               &errR))
-                << "op " << op;
+            ASSERT_TRUE(rig.vm.swapInGhostPage(1, 0, va, it->second,
+                                               &err))
+                << "op " << op << ": " << err.message;
             swapped.erase(it);
         }
-        // Lockstep: simulated time agrees after every op.
-        ASSERT_EQ(fast.ctx.clock().now(), ref.ctx.clock().now())
-            << "op " << op;
     }
 
     // Swap everything back in, then compare full machine state.
-    for (auto &[va, blob] : swapped) {
-        ASSERT_TRUE(fast.vm.swapInGhostPage(1, 0, va, blob, &errF));
-        ASSERT_TRUE(ref.vm.swapInGhostPage(1, 0, va, blob, &errR));
+    for (auto &[va, blob] : swapped)
+        ASSERT_TRUE(rig.vm.swapInGhostPage(1, 0, va, blob, &err));
+
+    uint64_t ramDigest = fnv(nullptr, 0);
+    std::vector<uint8_t> page(hw::pageSize);
+    for (uint64_t pa = 0; pa < rig.mem.sizeBytes(); pa += hw::pageSize) {
+        rig.mem.readBytes(pa, page.data(), page.size());
+        ramDigest = fnv(page.data(), page.size(), ramDigest);
     }
-    EXPECT_EQ(fast.ctx.stats().all(), ref.ctx.stats().all());
-    EXPECT_EQ(fast.ctx.clock().now(), ref.ctx.clock().now());
-    std::vector<uint8_t> a(hw::pageSize), b(hw::pageSize);
-    for (uint64_t pa = 0; pa < fast.mem.sizeBytes();
-         pa += hw::pageSize) {
-        fast.mem.readBytes(pa, a.data(), a.size());
-        ref.mem.readBytes(pa, b.data(), b.size());
-        ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0)
-            << "frame " << (pa >> hw::pageShift);
-    }
+    const std::map<std::string, uint64_t> &stats = rig.ctx.stats().all();
+
+    EXPECT_EQ(blobs, g.blobs);
+    EXPECT_EQ(blobDigest, g.blobDigest);
+    EXPECT_EQ(rig.ctx.clock().now(), g.clock);
+    EXPECT_EQ(stats.size(), g.statCount);
+    EXPECT_EQ(statMapDigest(stats), g.statDigest)
+        << ::testing::PrintToString(stats);
+    EXPECT_EQ(ramDigest, g.ramDigest);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CryptoFastSweep,
