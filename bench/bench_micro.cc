@@ -396,6 +396,44 @@ BENCHMARK(BM_CryptoModExp)
     ->Args({0, 2048})
     ->Args({1, 2048});
 
+/**
+ * RSA private-key operations on the simulated 384-bit key: the oracle
+ * exponentiates with the full d, production by the CRT with the key's
+ * precomputed d mod (p-1), d mod (q-1) and q^-1 mod p.
+ */
+static void
+BM_CryptoRsaSign(benchmark::State &state)
+{
+    bool prod = state.range(0) != 0;
+    CtrDrbg rng({'r', 's'});
+    RsaPrivateKey key = rsaGenerate(rng, 384);
+    std::vector<uint8_t> msg(128, 0x44);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(prod ? rsaSign(key, msg)
+                                      : oracle::refRsaSign(key, msg));
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_CryptoRsaSign)->Arg(0)->Arg(1);
+
+static void
+BM_CryptoRsaDecrypt(benchmark::State &state)
+{
+    bool prod = state.range(0) != 0;
+    CtrDrbg rng({'r', 'd'});
+    RsaPrivateKey key = rsaGenerate(rng, 384);
+    std::vector<uint8_t> secret(32, 0x55);
+    auto cipher = rsaEncrypt(key.publicKey(), rng, secret);
+    for (auto _ : state) {
+        bool ok = false;
+        benchmark::DoNotOptimize(
+            prod ? rsaDecrypt(key, cipher, ok)
+                 : oracle::refRsaDecrypt(key, cipher, ok));
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_CryptoRsaDecrypt)->Arg(0)->Arg(1);
+
 /** Seal one page under a fixed master key (derived-key cache hit). */
 static void
 BM_CryptoSeal(benchmark::State &state)

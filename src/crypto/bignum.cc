@@ -27,6 +27,75 @@ mulAddRow(uint32_t *acc, const uint32_t *b, size_t n, uint32_t a)
     return uint32_t(carry);
 }
 
+__extension__ typedef unsigned __int128 u128;
+
+/** Pack little-endian 32-bit limbs (at most 2k of them) into @p k
+ *  64-bit words, zero-filled. */
+void
+loadWords(const std::vector<uint32_t> &limbs, uint64_t *out, size_t k)
+{
+    std::fill(out, out + k, 0);
+    for (size_t i = 0; i < limbs.size(); i++)
+        out[i / 2] |= uint64_t(limbs[i]) << (32 * (i % 2));
+}
+
+/**
+ * CIOS Montgomery multiply on 64-bit words: out = a * b * R^-1 mod n
+ * with R = 2^(64k). Operands are k words, < n; @p t is a k + 2 word
+ * row; out may alias a or b.
+ */
+void
+montMul(uint64_t *out, const uint64_t *a, const uint64_t *b,
+        const uint64_t *n, uint64_t n0inv, size_t k, uint64_t *t)
+{
+    std::fill(t, t + k + 2, 0);
+    for (size_t i = 0; i < k; i++) {
+        // t += a[i] * b
+        uint64_t carry = 0;
+        for (size_t j = 0; j < k; j++) {
+            u128 cur = u128(a[i]) * b[j] + t[j] + carry;
+            t[j] = uint64_t(cur);
+            carry = uint64_t(cur >> 64);
+        }
+        u128 top = u128(t[k]) + carry;
+        t[k] = uint64_t(top);
+        t[k + 1] = uint64_t(top >> 64);
+
+        // t = (t + m*n) / 2^64 — m chosen so the low word cancels.
+        uint64_t m = t[0] * n0inv;
+        carry = uint64_t((u128(m) * n[0] + t[0]) >> 64);
+        for (size_t j = 1; j < k; j++) {
+            u128 cur = u128(m) * n[j] + t[j] + carry;
+            t[j - 1] = uint64_t(cur);
+            carry = uint64_t(cur >> 64);
+        }
+        top = u128(t[k]) + carry;
+        t[k - 1] = uint64_t(top);
+        t[k] = t[k + 1] + uint64_t(top >> 64);
+    }
+
+    // t < 2n, so at most one final subtraction of n.
+    bool ge = true;
+    if (t[k] == 0) {
+        for (size_t j = k; j-- > 0;) {
+            if (t[j] != n[j]) {
+                ge = t[j] > n[j];
+                break;
+            }
+        }
+    }
+    if (ge) {
+        uint64_t borrow = 0;
+        for (size_t j = 0; j < k; j++) {
+            u128 diff = u128(t[j]) - n[j] - borrow;
+            out[j] = uint64_t(diff);
+            borrow = uint64_t(diff >> 64) & 1;
+        }
+    } else {
+        std::copy(t, t + k, out);
+    }
+}
+
 } // namespace
 
 BigNum::BigNum(uint64_t v)
@@ -49,15 +118,12 @@ BigNum
 BigNum::fromBytes(const std::vector<uint8_t> &bytes)
 {
     BigNum n;
-    for (uint8_t b : bytes) {
-        n = n << 8;
-        if (b) {
-            if (n._limbs.empty())
-                n._limbs.push_back(b);
-            else
-                n._limbs[0] |= b;
-        }
+    n._limbs.assign((bytes.size() + 3) / 4, 0);
+    for (size_t i = 0; i < bytes.size(); i++) {
+        size_t bit_off = 8 * (bytes.size() - 1 - i);
+        n._limbs[bit_off / 32] |= uint32_t(bytes[i]) << (bit_off % 32);
     }
+    n.trim();
     return n;
 }
 
@@ -87,25 +153,22 @@ BigNum::toBytesPadded(size_t len) const
 BigNum
 BigNum::fromHex(const std::string &hex)
 {
-    BigNum n;
+    std::vector<uint32_t> digits; // most significant first
     for (char c : hex) {
-        uint32_t digit;
         if (c >= '0' && c <= '9')
-            digit = uint32_t(c - '0');
+            digits.push_back(uint32_t(c - '0'));
         else if (c >= 'a' && c <= 'f')
-            digit = uint32_t(c - 'a' + 10);
+            digits.push_back(uint32_t(c - 'a' + 10));
         else if (c >= 'A' && c <= 'F')
-            digit = uint32_t(c - 'A' + 10);
-        else
-            continue;
-        n = n << 4;
-        if (digit) {
-            if (n._limbs.empty())
-                n._limbs.push_back(digit);
-            else
-                n._limbs[0] |= digit;
-        }
+            digits.push_back(uint32_t(c - 'A' + 10));
     }
+    BigNum n;
+    n._limbs.assign((digits.size() + 7) / 8, 0);
+    for (size_t i = 0; i < digits.size(); i++) {
+        size_t bit_off = 4 * (digits.size() - 1 - i);
+        n._limbs[bit_off / 32] |= digits[i] << (bit_off % 32);
+    }
+    n.trim();
     return n;
 }
 
@@ -412,114 +475,78 @@ BigNum::modExp(const BigNum &exp, const BigNum &mod) const
 BigNum
 BigNum::modExpMont(const BigNum &exp, const BigNum &mod) const
 {
-    if (exp.isZero())
+    const size_t bits = exp.bitLength();
+    if (bits == 0)
         return BigNum(1); // mod > 1 here
-    const std::vector<uint32_t> &n = mod._limbs;
-    const size_t k = n.size();
+    const size_t k = (mod._limbs.size() + 1) / 2; // 64-bit words
 
-    // n0inv = -n[0]^-1 mod 2^32 by Newton iteration (n odd: each step
+    // Window width from the exponent length: a width-w window costs a
+    // (2^w - 2)-multiply table, so short exponents (e = 3, 65537) take
+    // plain square-and-multiply and skip the table.
+    const unsigned w = bits <= 64 ? 1 : 4;
+    const size_t entries = size_t(1) << w;
+
+    // All scratch in one block: n, R^2, the table (entry 0 unused),
+    // the accumulator and the CIOS row of k + 2 words.
+    std::vector<uint64_t> scratch(k * (4 + entries) + 2, 0);
+    uint64_t *n = scratch.data();
+    uint64_t *r2 = n + k;
+    uint64_t *tbl = r2 + k; // entry i at tbl + i*k
+    uint64_t *acc = tbl + entries * k;
+    uint64_t *t = acc + k;
+
+    loadWords(mod._limbs, n, k);
+    // n0inv = -n[0]^-1 mod 2^64 by Newton iteration (n odd: each step
     // doubles the number of correct low bits, starting from 3).
-    uint32_t inv = n[0];
-    for (int i = 0; i < 4; i++)
+    uint64_t inv = n[0];
+    for (int i = 0; i < 5; i++)
         inv *= 2 - n[0] * inv;
-    const uint32_t n0inv = uint32_t(0) - inv;
+    const uint64_t n0inv = uint64_t(0) - inv;
 
-    // R = 2^(32k); R^2 mod n converts operands into the Montgomery
+    // R = 2^(64k); R^2 mod n converts operands into the Montgomery
     // domain via one montMul.
-    BigNum r2big = (BigNum(1) << (64 * k)) % mod;
-    std::vector<uint32_t> r2 = r2big._limbs;
-    r2.resize(k, 0);
+    loadWords(((BigNum(1) << (128 * k)) % mod)._limbs, r2, k);
 
-    // CIOS Montgomery multiply: out = a * b * R^-1 mod n. Operands are
-    // k limbs, < n; out may alias a or b.
-    std::vector<uint32_t> t(k + 2);
-    auto montMul = [&](const std::vector<uint32_t> &a,
-                       const std::vector<uint32_t> &b,
-                       std::vector<uint32_t> &out) {
-        std::fill(t.begin(), t.end(), 0);
-        for (size_t i = 0; i < k; i++) {
-            // t += a[i] * b
-            uint64_t cur = uint64_t(t[k]) +
-                           mulAddRow(t.data(), b.data(), k, a[i]);
-            t[k] = uint32_t(cur);
-            t[k + 1] = uint32_t(cur >> 32);
+    // tbl[i] = mont(base^i) for 1 <= i < 2^w.
+    uint64_t *t1 = tbl + k;
+    loadWords((*this % mod)._limbs, t1, k);
+    montMul(t1, t1, r2, n, n0inv, k, t);
+    for (size_t i = 2; i < entries; i++)
+        montMul(tbl + i * k, tbl + (i - 1) * k, t1, n, n0inv, k, t);
 
-            // t = (t + m*n) / 2^32 — m chosen so the low word cancels.
-            uint32_t m = t[0] * n0inv;
-            uint64_t carry =
-                (uint64_t(t[0]) + uint64_t(m) * n[0]) >> 32;
-            for (size_t j = 1; j < k; j++) {
-                uint64_t c = uint64_t(t[j]) + uint64_t(m) * n[j] + carry;
-                t[j - 1] = uint32_t(c);
-                carry = c >> 32;
-            }
-            uint64_t c = uint64_t(t[k]) + carry;
-            t[k - 1] = uint32_t(c);
-            t[k] = t[k + 1] + uint32_t(c >> 32);
-        }
-
-        // t < 2n, so at most one final subtraction of n.
-        bool ge = true;
-        if (t[k] == 0) {
-            for (size_t j = k; j-- > 0;) {
-                if (t[j] != n[j]) {
-                    ge = t[j] > n[j];
-                    break;
-                }
-            }
-        }
-        out.resize(k);
-        if (ge) {
-            int64_t borrow = 0;
-            for (size_t j = 0; j < k; j++) {
-                int64_t diff = int64_t(t[j]) - int64_t(n[j]) - borrow;
-                borrow = diff < 0;
-                if (diff < 0)
-                    diff += int64_t(1) << 32;
-                out[j] = uint32_t(diff);
-            }
-        } else {
-            std::copy(t.begin(), t.begin() + long(k), out.begin());
-        }
-    };
-
-    // 16-entry window table: tbl[i] = mont(base^i) for i >= 1.
-    BigNum base = *this % mod;
-    std::vector<uint32_t> bm = base._limbs;
-    bm.resize(k, 0);
-    std::vector<std::vector<uint32_t>> tbl(16);
-    montMul(bm, r2, tbl[1]);
-    for (int i = 2; i < 16; i++)
-        montMul(tbl[i - 1], tbl[1], tbl[i]);
-
-    // 4-bit fixed windows, most significant first. Windows are
-    // nibble-aligned so they never straddle a limb.
-    auto nibble = [&](size_t idx) -> uint32_t {
-        size_t bit_off = idx * 4;
+    // Fixed windows, most significant first. w divides 32, so windows
+    // never straddle a limb.
+    auto window = [&](size_t idx) -> size_t {
+        size_t bit_off = idx * w;
         size_t limb = bit_off / 32;
         if (limb >= exp._limbs.size())
             return 0;
-        return (exp._limbs[limb] >> (bit_off % 32)) & 0xf;
+        return (exp._limbs[limb] >> (bit_off % 32)) & (entries - 1);
     };
-    size_t windows = (exp.bitLength() + 3) / 4;
+    size_t windows = (bits + w - 1) / w;
 
-    std::vector<uint32_t> acc = tbl[nibble(windows - 1)]; // top != 0
+    size_t top = window(windows - 1); // != 0: holds the top bit
+    std::copy(tbl + top * k, tbl + (top + 1) * k, acc);
     for (size_t idx = windows - 1; idx-- > 0;) {
-        for (int s = 0; s < 4; s++)
-            montMul(acc, acc, acc);
-        uint32_t nib = nibble(idx);
-        if (nib)
-            montMul(acc, tbl[nib], acc);
+        for (unsigned s = 0; s < w; s++)
+            montMul(acc, acc, acc, n, n0inv, k, t);
+        size_t v = window(idx);
+        if (v)
+            montMul(acc, acc, tbl + v * k, n, n0inv, k, t);
     }
 
-    // Convert out of the Montgomery domain: multiply by 1.
-    std::vector<uint32_t> one(k, 0);
-    one[0] = 1;
-    std::vector<uint32_t> res;
-    montMul(acc, one, res);
+    // Convert out of the Montgomery domain: multiply by 1 (r2 is free
+    // now and becomes the constant).
+    std::fill(r2, r2 + k, 0);
+    r2[0] = 1;
+    montMul(acc, acc, r2, n, n0inv, k, t);
 
     BigNum out;
-    out._limbs = std::move(res);
+    out._limbs.resize(2 * k);
+    for (size_t i = 0; i < k; i++) {
+        out._limbs[2 * i] = uint32_t(acc[i]);
+        out._limbs[2 * i + 1] = uint32_t(acc[i] >> 32);
+    }
     out.trim();
     return out;
 }
@@ -617,10 +644,13 @@ BigNum::isProbablePrime(CtrDrbg &rng, int rounds) const
     if (isZero() || *this == BigNum(1))
         return false;
     for (uint32_t p : small_primes) {
-        BigNum bp(p);
-        if (*this == bp)
+        if (_limbs.size() == 1 && _limbs[0] == p)
             return true;
-        if ((*this % bp).isZero())
+        // Single-limb remainder, most significant limb first.
+        uint64_t rem = 0;
+        for (size_t i = _limbs.size(); i-- > 0;)
+            rem = ((rem << 32) | _limbs[i]) % p;
+        if (rem == 0)
             return false;
     }
     if (!isOdd())

@@ -82,8 +82,9 @@ class BigNum
     /**
      * Modular exponentiation: this^exp mod mod.
      *
-     * Odd moduli > 1 use Montgomery multiplication with a 4-bit
-     * fixed-window ladder; even moduli and mod == 1, which Montgomery
+     * Odd moduli > 1 use Montgomery multiplication on 64-bit words
+     * with a fixed-window ladder (width 1 for exponents of at most 64
+     * bits, 4 otherwise); even moduli and mod == 1, which Montgomery
      * reduction cannot handle, use binary square-and-multiply.
      */
     BigNum modExp(const BigNum &exp, const BigNum &mod) const;
@@ -109,7 +110,8 @@ class BigNum
   private:
     void trim();
 
-    /** Montgomery-domain modExp; requires odd modulus > 1. */
+    /** Montgomery-domain modExp; requires odd modulus > 1. All scratch
+     *  is one allocation per call. */
     BigNum modExpMont(const BigNum &exp, const BigNum &mod) const;
 
     /** Little-endian limbs; empty means zero. */

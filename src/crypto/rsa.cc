@@ -49,6 +49,26 @@ generatePrime(CtrDrbg &rng, size_t bits)
     }
 }
 
+/**
+ * Derive the key's CRT parameters from n, d, p and q. Returns false
+ * when the factors are inconsistent, leaving the parameters unset.
+ */
+bool
+deriveCrt(RsaPrivateKey &key)
+{
+    BigNum one(1);
+    if (key.p <= one || key.q <= one || key.p * key.q != key.n)
+        return false;
+    bool ok = false;
+    BigNum qinv = key.q.modInverse(key.p, ok);
+    if (!ok)
+        return false;
+    key.dp = key.d % (key.p - one);
+    key.dq = key.d % (key.q - one);
+    key.qinv = qinv;
+    return true;
+}
+
 } // namespace
 
 std::vector<uint8_t>
@@ -88,7 +108,7 @@ RsaPrivateKey::deserialize(const std::vector<uint8_t> &bytes, bool &ok)
     size_t off = 0;
     ok = getField(bytes, off, key.n) && getField(bytes, off, key.e) &&
          getField(bytes, off, key.d) && getField(bytes, off, key.p) &&
-         getField(bytes, off, key.q);
+         getField(bytes, off, key.q) && deriveCrt(key);
     return key;
 }
 
@@ -119,8 +139,20 @@ rsaGenerate(CtrDrbg &rng, size_t bits)
         key.d = d;
         key.p = p;
         key.q = q;
+        if (!deriveCrt(key))
+            continue;
         return key;
     }
+}
+
+BigNum
+rsaPrivateOp(const RsaPrivateKey &key, const BigNum &x)
+{
+    BigNum mp = x.modExp(key.dp, key.p);
+    BigNum mq = x.modExp(key.dq, key.q);
+    // Garner: h = (mp - mq) * q^-1 mod p, x^d = mq + h*q (< n).
+    BigNum h = ((mp + key.p - mq % key.p) * key.qinv) % key.p;
+    return mq + h * key.q;
 }
 
 std::vector<uint8_t>
@@ -162,8 +194,7 @@ rsaDecrypt(const RsaPrivateKey &key, const std::vector<uint8_t> &cipher,
     BigNum c = BigNum::fromBytes(cipher);
     if (c >= key.n)
         return {};
-    BigNum m = c.modExp(key.d, key.n);
-    std::vector<uint8_t> eb = m.toBytesPadded(k);
+    std::vector<uint8_t> eb = rsaPrivateOp(key, c).toBytesPadded(k);
 
     if (eb.size() < 11 || eb[0] != 0x00 || eb[1] != 0x02)
         return {};
@@ -204,8 +235,7 @@ rsaSign(const RsaPrivateKey &key, const std::vector<uint8_t> &message)
 {
     size_t k = key.publicKey().modulusBytes();
     BigNum m = BigNum::fromBytes(signaturePad(message, k));
-    BigNum s = m.modExp(key.d, key.n);
-    return s.toBytesPadded(k);
+    return rsaPrivateOp(key, m).toBytesPadded(k);
 }
 
 bool

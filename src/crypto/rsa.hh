@@ -9,9 +9,12 @@
  * style encryption padding, and hash-then-sign signatures.
  *
  * All four operations run on BigNum::modExp (Montgomery for the odd
- * RSA moduli). The test oracle (tests/oracle/crypto_ref.hh) redoes
- * them over a plain square-and-multiply ladder, and CryptoFastSweep
- * checks that both give the same bytes.
+ * RSA moduli). The private-key operations (sign, decrypt) use the CRT:
+ * two half-width exponentiations mod p and q with the exponents
+ * d mod (p-1), d mod (q-1), recombined by Garner's formula. The test
+ * oracle (tests/oracle/crypto_ref.hh) redoes all four with the full
+ * exponent d over a plain square-and-multiply ladder, and
+ * CryptoFastSweep checks that both give the same bytes.
  */
 
 #ifndef VG_CRYPTO_RSA_HH
@@ -42,7 +45,7 @@ struct RsaPublicKey
                                     bool &ok);
 };
 
-/** An RSA private key (n, e, d; p and q retained for tests). */
+/** An RSA private key (n, e, d, p, q) with its CRT parameters. */
 struct RsaPrivateKey
 {
     BigNum n;
@@ -51,15 +54,38 @@ struct RsaPrivateKey
     BigNum p;
     BigNum q;
 
+    /**
+     * CRT parameters d mod (p-1), d mod (q-1) and q^-1 mod p. Derived
+     * from the fields above by rsaGenerate() and deserialize(), never
+     * serialized: the serialized form (sealed VM key, ssh key files)
+     * is simulated state and keeps its five-field layout.
+     */
+    BigNum dp;
+    BigNum dq;
+    BigNum qinv;
+
     RsaPublicKey publicKey() const { return {n, e}; }
 
     std::vector<uint8_t> serialize() const;
+
+    /**
+     * Parse a serialized key and derive its CRT parameters. @p ok is
+     * false on truncation and on inconsistent factors (p <= 1,
+     * q <= 1, p*q != n, or q not invertible mod p), which the hostile
+     * OS can hand an application through a key file.
+     */
     static RsaPrivateKey deserialize(const std::vector<uint8_t> &bytes,
                                      bool &ok);
 };
 
 /** Generate an RSA key pair with an @p bits-bit modulus. */
 RsaPrivateKey rsaGenerate(CtrDrbg &rng, size_t bits);
+
+/**
+ * The raw private-key operation x^d mod n, computed by the CRT. @p key
+ * must carry its CRT parameters (see RsaPrivateKey::dp).
+ */
+BigNum rsaPrivateOp(const RsaPrivateKey &key, const BigNum &x);
 
 /**
  * Encrypt a short message (<= modulusBytes - 11) under @p key.

@@ -316,6 +316,10 @@ class Kernel
     hw::Console &console() { return _console; }
     Process *process(uint64_t pid);
 
+    /** Entries in the process table: every process not yet reaped by
+     *  waitpid() (zombies included). */
+    size_t processTableSize() const { return _procs.size(); }
+
     /** Exit codes of reaped processes (pid -> code). */
     const std::map<uint64_t, int> &exitCodes() const
     {

@@ -31,8 +31,9 @@ enum class ProcState
     Runnable,
     Running,
     Blocked,
+    /** Exited, not yet collected; waitpid() erases it from the
+     *  process table (its exit code stays in Kernel::exitCodes()). */
     Zombie,
-    Dead,
 };
 
 /** One in-flight or delivered stream segment. A segment becomes
@@ -196,7 +197,7 @@ class Process
     bool
     alive() const
     {
-        return state != ProcState::Zombie && state != ProcState::Dead;
+        return state != ProcState::Zombie;
     }
 };
 

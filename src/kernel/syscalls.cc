@@ -750,8 +750,10 @@ UserApi::waitpid(uint64_t pid, int &status)
             break;
         }
         if (child->state == ProcState::Zombie) {
+            // Reap: the scheduler and wakeup scans walk only the
+            // living (and unreaped) processes.
             status = child->exitCode;
-            child->state = ProcState::Dead;
+            k._procs.erase(pid);
             result = 0;
             break;
         }

@@ -295,10 +295,177 @@ TEST(Rsa, SerializeRoundtrip)
 
 TEST(Rsa, DeserializeRejectsTruncated)
 {
-    const RsaPrivateKey &key = testKey();
-    auto bytes = key.serialize();
-    bytes.resize(bytes.size() / 2);
+    std::vector<uint8_t> bytes = testKey().serialize();
+    for (size_t len = 0; len < bytes.size(); len++) {
+        bool ok = true;
+        RsaPrivateKey::deserialize(
+            std::vector<uint8_t>(bytes.begin(), bytes.begin() + long(len)),
+            ok);
+        EXPECT_FALSE(ok) << "length " << len;
+    }
+}
+
+// --------------------------------------------------------------------
+// Hostile key bytes: the OS can hand an application any key file. A
+// key whose factors do not fit together must be refused, never reach
+// the CRT (where p - 1 could underflow) or panic.
+// --------------------------------------------------------------------
+
+namespace
+{
+
+/** Offset of field @p index's payload in a serialized key. */
+size_t
+fieldPayload(const std::vector<uint8_t> &bytes, int index)
+{
+    size_t off = 0;
+    for (int i = 0; i < index; i++)
+        off += 2 + ((size_t(bytes[off]) << 8) | bytes[off + 1]);
+    return off + 2;
+}
+
+/** Serialize @p key with its factor fields replaced. */
+std::vector<uint8_t>
+withFactors(const RsaPrivateKey &key, const BigNum &p, const BigNum &q)
+{
+    RsaPrivateKey bad = key;
+    bad.p = p;
+    bad.q = q;
+    return bad.serialize();
+}
+
+bool
+deserializes(const std::vector<uint8_t> &bytes)
+{
     bool ok = true;
     RsaPrivateKey::deserialize(bytes, ok);
-    EXPECT_FALSE(ok);
+    return ok;
+}
+
+} // namespace
+
+TEST(Rsa, DeserializeRejectsFlippedFactorByte)
+{
+    const RsaPrivateKey &key = testKey();
+    std::vector<uint8_t> bytes = key.serialize();
+    for (int field : {3, 4}) { // p, q
+        size_t at = fieldPayload(bytes, field);
+        for (size_t i = 0; i < 24; i++) {
+            std::vector<uint8_t> bad = bytes;
+            bad[at + i] ^= uint8_t(1u << (i % 8));
+            EXPECT_FALSE(deserializes(bad))
+                << "field " << field << " byte " << i;
+        }
+    }
+    EXPECT_TRUE(deserializes(bytes));
+}
+
+TEST(Rsa, DeserializeRejectsDegenerateFactors)
+{
+    const RsaPrivateKey &key = testKey();
+    BigNum zero, one(1);
+    EXPECT_FALSE(deserializes(withFactors(key, zero, key.q)));
+    EXPECT_FALSE(deserializes(withFactors(key, key.p, zero)));
+    EXPECT_FALSE(deserializes(withFactors(key, zero, zero)));
+    // n = 1 * n and n = n * 1 multiply out but are not a factoring.
+    EXPECT_FALSE(deserializes(withFactors(key, one, key.n)));
+    EXPECT_FALSE(deserializes(withFactors(key, key.n, one)));
+
+    // p == q: n = p^2 multiplies out, but q has no inverse mod p.
+    RsaPrivateKey square = key;
+    square.n = key.p * key.p;
+    square.q = key.p;
+    EXPECT_FALSE(deserializes(square.serialize()));
+}
+
+TEST(Rsa, SwappedFactorsStillAKey)
+{
+    // (q, p) is as good a factoring as (p, q): the key loads and its
+    // CRT gives the same signatures.
+    const RsaPrivateKey &key = testKey();
+    bool ok = false;
+    RsaPrivateKey swapped =
+        RsaPrivateKey::deserialize(withFactors(key, key.q, key.p), ok);
+    ASSERT_TRUE(ok);
+    std::vector<uint8_t> msg = {'s', 'w', 'a', 'p'};
+    EXPECT_EQ(rsaSign(swapped, msg), rsaSign(key, msg));
+}
+
+// --------------------------------------------------------------------
+// Golden keys: rsaGenerate must consume the DRBG exactly as it always
+// has (every simulated number downstream depends on the bytes it
+// draws), and serialize() must keep its byte layout.
+// --------------------------------------------------------------------
+
+namespace
+{
+
+/** FNV-1a over a byte string. */
+uint64_t
+fnv1a(const std::vector<uint8_t> &bytes)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (uint8_t b : bytes) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+struct KeyGolden
+{
+    uint8_t seed;
+    const char *n;
+    const char *d;
+    const char *p;
+    const char *q;
+    uint64_t serialDigest; ///< fnv1a(serialize())
+    uint64_t next;         ///< the DRBG's next64() after keygen
+};
+
+constexpr KeyGolden kKeyGolden[] = {
+    {1,
+     "580f6a08e50af6b39e7b98da552515200bb60d784e9a2e25"
+     "4cf7801a0a4adf68bc2984ba8034032eba3dc0c7e8222e5f",
+     "3f72bbbfb4e7f560edebb7f2782ec3cdd722510a41f82d0e"
+     "b02c0be2ce95a8d4c03a8e85b90f8c5c75f5ba7dd73dfc01",
+     "af70ad2c5e822a96680bd36a95de9f376874cbf079c2d0df",
+     "807f0f64f8f602cfe4df390aa7463f0378fb1cf0d660d281",
+     0xebfd67c34a12a5a8ull, 0x5492bccbeb18129aull},
+    {2,
+     "8444d4d6d53451e38d618bdc9d70dc4bbf17c0a7139fd102"
+     "37b2a8b8668826bad5a2e0d3606485ee769faac7b15fdef3",
+     "5556c3ac48ab151aa82183c7b79d15c599698dd73e8622a7"
+     "3f0afb6b50c8ef3660e726787e00571d5dc822a7e0d0b241",
+     "f9a4db895af9e9680b1aebce6299db3e4b510aad320652f9",
+     "87a2f0b8802f237ce14303b8b44fc82ca3e01ea36686104b",
+     0xaec3d258fa25d048ull, 0x54ea8bbb10975a7full},
+    {3,
+     "a3b56e05fc59330cce835541ed2b5d31df8cd209d73fbb3f"
+     "b74333dae59ebef9e6137f61a56017ad8f78a0567d9a2c19",
+     "13895a48f2957e871fba0299ac81094d235d7dcf58d5ad35"
+     "bb49085136c141b1e562d99f07a0a34ca62b1fe19c0ee9a5",
+     "e0bbdefc442def49f09f7fa2e385c337e4ee34a85f7585df",
+     "ba7c15a7c4cf193b6567fc690e42d8c98b418622f96edd07",
+     0xc396be8672d9e6d4ull, 0x6b18bf5add6a44ddull},
+};
+
+} // namespace
+
+TEST(Rsa, GoldenKeygen)
+{
+    for (const KeyGolden &g : kKeyGolden) {
+        CtrDrbg rng({g.seed, 'g', 'k'});
+        RsaPrivateKey key = rsaGenerate(rng, 384);
+        EXPECT_EQ(key.n.toHex(), g.n) << "seed " << int(g.seed);
+        EXPECT_EQ(key.d.toHex(), g.d) << "seed " << int(g.seed);
+        EXPECT_EQ(key.p.toHex(), g.p) << "seed " << int(g.seed);
+        EXPECT_EQ(key.q.toHex(), g.q) << "seed " << int(g.seed);
+        EXPECT_EQ(fnv1a(key.serialize()), g.serialDigest)
+            << "seed " << int(g.seed);
+        // The generator's stream position after the key: a change in
+        // how many bytes keygen draws shows here even if the key
+        // happened to survive it.
+        EXPECT_EQ(rng.next64(), g.next) << "seed " << int(g.seed);
+    }
 }

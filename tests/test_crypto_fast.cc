@@ -190,6 +190,24 @@ TEST_P(CryptoFastSweep, ModExp)
     EXPECT_EQ(m.modExp(BigNum(3), m), BigNum());
     EXPECT_EQ(refModExp(m, BigNum(3), m), BigNum());
 
+    // Odd 32-bit limb counts (96, 416 bits: the top 64-bit word is
+    // half filled) and exponents on both sides of the window-width
+    // switch: e = 3 and 65537, 64 and 65 bits, and full width.
+    for (size_t bits : {32, 96, 160, 416}) {
+        BigNum odd = BigNum::fromBytes(r.generate(bits / 8));
+        odd.setBit(bits - 1);
+        odd.setBit(0);
+        BigNum base = BigNum::fromBytes(r.generate(bits / 8 + 3));
+        BigNum e64 = BigNum(r.next64() | (uint64_t(1) << 63));
+        BigNum e65 = e64 + e64;
+        BigNum full = BigNum::fromBytes(r.generate(bits / 8));
+        for (const BigNum &exp :
+             {BigNum(3), BigNum(65537), e64, e65, full}) {
+            ASSERT_EQ(base.modExp(exp, odd), refModExp(base, exp, odd))
+                << bits << "-bit modulus, exponent " << exp.toHex();
+        }
+    }
+
     // A 2048-bit odd modulus with 64-bit exponents (the reference
     // ladder is too slow for full-width exponents here).
     BigNum wide = BigNum::fromBytes(r.generate(256));
@@ -205,39 +223,63 @@ TEST_P(CryptoFastSweep, ModExp)
 
 // --------------------------------------------------------------------
 // RSA: identical signatures and ciphertexts (cloned DRBG streams), and
-// each side accepts what the other produced.
+// each side accepts what the other produced. Production signs and
+// decrypts by the CRT, the oracle with the full exponent d; keys of
+// odd limb counts (352, 416 bits) are in the mix.
 // --------------------------------------------------------------------
 
 TEST_P(CryptoFastSweep, RsaOps)
 {
     CtrDrbg keygen = rng();
-    RsaPrivateKey key = rsaGenerate(keygen, 384);
-
     CtrDrbg r = rng();
-    for (int round = 0; round < 4; round++) {
-        std::vector<uint8_t> msg =
-            r.generate(size_t(r.nextBounded(200)) + 1);
+    for (size_t bits : {384, 352, 416}) {
+        RsaPrivateKey key = rsaGenerate(keygen, bits);
+        const BigNum one(1);
 
-        auto sigP = rsaSign(key, msg);
-        auto sigR = refRsaSign(key, msg);
-        ASSERT_EQ(sigP, sigR) << "round " << round;
-        EXPECT_TRUE(rsaVerify(key.publicKey(), msg, sigR));
-        EXPECT_TRUE(refRsaVerify(key.publicKey(), msg, sigP));
-        std::vector<uint8_t> other = msg;
-        other[0] ^= 0x01;
-        EXPECT_FALSE(rsaVerify(key.publicKey(), other, sigP));
-        EXPECT_FALSE(refRsaVerify(key.publicKey(), other, sigP));
+        // The raw private op on bases the CRT treats specially: 0, 1,
+        // n - 1, the factors and multiples of them (zero mod p or q).
+        std::vector<BigNum> bases = {BigNum(),    one,
+                                     key.n - one, key.p,
+                                     key.q,       key.p * BigNum(7),
+                                     key.q * (key.p - one)};
+        bases.push_back(BigNum::random(r, key.n));
+        for (const BigNum &x : bases) {
+            ASSERT_EQ(rsaPrivateOp(key, x), refModExp(x, key.d, key.n))
+                << bits << "-bit key, base " << x.toHex();
+            // The same values as ciphertexts: both sides agree on the
+            // bytes and on the padding verdict.
+            std::vector<uint8_t> c =
+                x.toBytesPadded(key.publicKey().modulusBytes());
+            bool okP = true, okR = true;
+            ASSERT_EQ(rsaDecrypt(key, c, okP), refRsaDecrypt(key, c, okR));
+            EXPECT_EQ(okP, okR);
+        }
 
-        std::vector<uint8_t> shortMsg = r.generate(16);
-        CtrDrbg padP({uint8_t(round), 'p'});
-        CtrDrbg padR({uint8_t(round), 'p'});
-        auto cP = rsaEncrypt(key.publicKey(), padP, shortMsg);
-        auto cR = refRsaEncrypt(key.publicKey(), padR, shortMsg);
-        ASSERT_EQ(cP, cR) << "round " << round;
-        bool okP = false, okR = false;
-        ASSERT_EQ(rsaDecrypt(key, cR, okP), shortMsg);
-        ASSERT_EQ(refRsaDecrypt(key, cP, okR), shortMsg);
-        EXPECT_TRUE(okP && okR);
+        for (int round = 0; round < 3; round++) {
+            std::vector<uint8_t> msg =
+                r.generate(size_t(r.nextBounded(200)) + 1);
+
+            auto sigP = rsaSign(key, msg);
+            auto sigR = refRsaSign(key, msg);
+            ASSERT_EQ(sigP, sigR) << bits << "-bit key, round " << round;
+            EXPECT_TRUE(rsaVerify(key.publicKey(), msg, sigR));
+            EXPECT_TRUE(refRsaVerify(key.publicKey(), msg, sigP));
+            std::vector<uint8_t> other = msg;
+            other[0] ^= 0x01;
+            EXPECT_FALSE(rsaVerify(key.publicKey(), other, sigP));
+            EXPECT_FALSE(refRsaVerify(key.publicKey(), other, sigP));
+
+            std::vector<uint8_t> shortMsg = r.generate(16);
+            CtrDrbg padP({uint8_t(round), 'p'});
+            CtrDrbg padR({uint8_t(round), 'p'});
+            auto cP = rsaEncrypt(key.publicKey(), padP, shortMsg);
+            auto cR = refRsaEncrypt(key.publicKey(), padR, shortMsg);
+            ASSERT_EQ(cP, cR) << bits << "-bit key, round " << round;
+            bool okP = false, okR = false;
+            ASSERT_EQ(rsaDecrypt(key, cR, okP), shortMsg);
+            ASSERT_EQ(refRsaDecrypt(key, cP, okR), shortMsg);
+            EXPECT_TRUE(okP && okR);
+        }
     }
 }
 

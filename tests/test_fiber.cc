@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "kernel/system.hh"
@@ -64,17 +65,27 @@ TEST(Fiber, SequentialForksRecycleStacks)
     sys.boot();
     constexpr int children = 2000;
     int mismatches = 0;
+    size_t max_table = 0;
     int code = sys.runProcess("parent", [&](UserApi &api) {
         for (int i = 0; i < children; i++) {
             uint64_t pid = api.fork([i](UserApi &) { return i % 251; });
+            max_table = std::max(max_table,
+                                 api.kernel().processTableSize());
             int status = -1;
             if (api.waitpid(pid, status) != 0 || status != i % 251)
+                mismatches++;
+            // Reaped: gone from the table, its code still answers.
+            if (api.kernel().process(pid) != nullptr ||
+                api.waitpid(pid, status) != 0 || status != i % 251)
                 mismatches++;
         }
         return 0;
     });
     EXPECT_EQ(code, 0);
     EXPECT_EQ(mismatches, 0);
+    // The table held the parent and one child at a time, not every
+    // fork ever made.
+    EXPECT_LE(max_table, 2u);
     EXPECT_EQ(sys.kernel().exitCodes().size(), size_t(children + 1));
     // At most the parent and one child were ever running at once.
     EXPECT_LE(sys.kernel().fiberStacksMapped(), 2u);
