@@ -306,21 +306,32 @@ BM_KmemCopyOutIn(benchmark::State &state)
 BENCHMARK(BM_KmemCopyOutIn)->Arg(0)->Arg(1);
 
 // --------------------------------------------------------------------
-// Crypto hot path: host cost of the production crypto (Arg 1: T-table
-// AES, one-shot SHA-256 finalize, precomputed HMAC states, Montgomery
-// modExp, cached seal keys) vs the textbook reference oracle from
-// tests/oracle (Arg 0). Outputs are bit-identical between the two (see
-// the CryptoFastSweep tests); only host wall time differs.
+// Crypto hot path: host cost of the production crypto (Arg 1: AES and
+// SHA-256 kernels, one-shot SHA-256 finalize, precomputed HMAC states,
+// Montgomery modExp, cached seal keys) vs the textbook reference oracle
+// from tests/oracle (Arg 0). The AES-CTR and SHA-256 rows time each
+// kernel leg on its own (Arg 1 portable, Arg 2 hardware); elsewhere
+// Arg 1 runs the kernel CPUID selected. Outputs are bit-identical
+// throughout (see the CryptoFastSweep and CryptoKernelSweep tests);
+// only host wall time differs.
 // --------------------------------------------------------------------
 
-/** AES-128-CTR over 64 KiB, bytes/sec. */
+/** AES-128-CTR over 64 KiB, bytes/sec. Arg 0: oracle; Arg 1: the
+ *  portable kernel; Arg 2: the AES-NI kernel (skipped without it). */
 static void
 BM_CryptoAesCtr(benchmark::State &state)
 {
+    const detail::AesKernel *kernel = state.range(0) == 2
+                                          ? detail::hardwareAes()
+                                          : &detail::portableAes();
+    if (!kernel) {
+        state.SkipWithError("CPUID lacks aes");
+        return;
+    }
     AesKey key{};
     for (size_t i = 0; i < key.size(); i++)
         key[i] = uint8_t(0xa0 + i);
-    Aes128 aes(key);
+    Aes128 aes(key, *kernel);
     oracle::RefAes128 ref(key);
     AesBlock nonce{};
     std::vector<uint8_t> data(1 << 16, 0x11);
@@ -334,22 +345,34 @@ BM_CryptoAesCtr(benchmark::State &state)
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(data.size()));
 }
-BENCHMARK(BM_CryptoAesCtr)->Arg(0)->Arg(1);
+BENCHMARK(BM_CryptoAesCtr)->Arg(0)->Arg(1)->Arg(2);
 
-/** SHA-256 one-shot over 64 KiB, bytes/sec. */
+/** SHA-256 one-shot over 64 KiB, bytes/sec. Arg 0: oracle; Arg 1: the
+ *  portable kernel; Arg 2: the SHA-NI kernel (skipped without it). */
 static void
 BM_CryptoSha256(benchmark::State &state)
 {
-    bool prod = state.range(0) != 0;
+    const detail::Sha256Kernel *kernel = state.range(0) == 2
+                                             ? detail::hardwareSha256()
+                                             : &detail::portableSha256();
+    if (!kernel) {
+        state.SkipWithError("CPUID lacks sha, ssse3 or sse4.1");
+        return;
+    }
     std::vector<uint8_t> data(1 << 16, 0x5a);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(prod ? Sha256::hash(data)
-                                      : oracle::refSha256(data));
+        if (state.range(0)) {
+            Sha256 h(*kernel);
+            h.update(data.data(), data.size());
+            benchmark::DoNotOptimize(h.final());
+        } else {
+            benchmark::DoNotOptimize(oracle::refSha256(data));
+        }
     }
     state.SetBytesProcessed(int64_t(state.iterations()) *
                             int64_t(data.size()));
 }
-BENCHMARK(BM_CryptoSha256)->Arg(0)->Arg(1);
+BENCHMARK(BM_CryptoSha256)->Arg(0)->Arg(1)->Arg(2);
 
 /**
  * Short-message HMAC with a long-lived key: production reuses the
@@ -492,7 +515,7 @@ struct GhostSwapRig
           iommu(mem, ctx), tpm({'b', 'g'}),
           vm(ctx, mem, mmu, iommu, tpm)
     {
-        vm.install(192);
+        vm.install(384);
         vm.boot();
         for (hw::Frame f = 64; f < 128; f++)
             freeFrames.push_back(f);

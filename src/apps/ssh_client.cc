@@ -6,6 +6,7 @@
  * ciphertext passes through traditional memory.
  */
 
+#include <charconv>
 #include <cstring>
 
 #include "apps/ssh_common.hh"
@@ -89,11 +90,18 @@ sshFetch(kern::UserApi &api, const std::string &path, bool ghosting,
     // Fetch the file.
     if (!sendStr(api, fd, "GET " + path))
         return result;
+    // The size line crosses the OS: anything but "SIZE <decimal>"
+    // that fits in 64 bits fails the session.
     std::string size_line;
     if (!recvStr(api, fd, size_line) ||
         size_line.rfind("SIZE ", 0) != 0)
         return result;
-    uint64_t total = std::stoull(size_line.substr(5));
+    uint64_t total = 0;
+    const char *digits = size_line.data() + 5;
+    const char *end = size_line.data() + size_line.size();
+    auto [parsed, ec] = std::from_chars(digits, end, total);
+    if (ec != std::errc() || parsed != end)
+        return result;
 
     uint64_t received = 0;
     hw::Vaddr ghost_buf = 0;

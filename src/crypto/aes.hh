@@ -1,17 +1,24 @@
 /**
  * @file
- * AES-128 implemented from scratch (FIPS 197), with CBC and CTR modes.
+ * AES-128 encryption implemented from scratch (FIPS 197), with CTR
+ * mode.
  *
  * This is the symmetric cipher behind application keys (S 3.3), ghost
  * page swapping (S 3.3), and the ssh session transport (S 6). The
  * paper's prototype hard-codes a 128-bit AES application key; we keep
- * the same key size.
+ * the same key size. Sealing is CTR plus HMAC, so only the forward
+ * cipher exists.
  *
- * Rounds use precomputed T-tables (encrypt) and the equivalent
- * inverse cipher (decrypt); CTR mode XORs whole blocks in 64-bit
- * lanes. The textbook byte-oriented SubBytes/ShiftRows/MixColumns
- * cipher lives in the test oracle (tests/oracle/crypto_ref.hh), which
- * the KATs and CryptoFastSweep check this implementation against.
+ * Two kernels run the rounds over the same byte-order key schedule.
+ * On x86-64 CPUs with AES-NI (CPUID `aes`), aesenc/aesenclast do a
+ * round each and CTR keeps eight independent blocks in flight. Every
+ * other host runs the portable kernel: precomputed T-tables, with CTR
+ * XORing whole blocks in 64-bit lanes. Each process picks its kernel
+ * once, from CPUID; both produce the FIPS 197 bytes, so the choice
+ * never shows in any output. The textbook byte-oriented
+ * SubBytes/ShiftRows/MixColumns cipher lives in the test oracle
+ * (tests/oracle/crypto_ref.hh), which the KATs and CryptoFastSweep
+ * check both kernels against.
  */
 
 #ifndef VG_CRYPTO_AES_HH
@@ -42,45 +49,65 @@ namespace detail
  */
 void buildAesSboxes(uint8_t sbox[256], uint8_t inv_sbox[256]);
 
+/**
+ * One implementation of the AES-128 rounds. Both functions take the
+ * expanded key schedule: 11 round keys of 16 bytes, in byte order.
+ */
+struct AesKernel
+{
+    const char *name;
+    /** Encrypt one 16-byte block in place. */
+    void (*encryptBlock)(const uint8_t *round_keys, uint8_t block[16]);
+    /** XOR the CTR keystream for @p nonce over @p len bytes. */
+    void (*ctrCrypt)(const uint8_t *round_keys, uint8_t *data, size_t len,
+                     const uint8_t nonce[16]);
+};
+
+/** The portable T-table kernel; runs on every host. */
+const AesKernel &portableAes();
+
+/** The AES-NI kernel, or nullptr when this CPU lacks it. */
+const AesKernel *hardwareAes();
+
+/** The kernel this process uses: hardware when present, chosen once. */
+const AesKernel &activeAes();
+
 } // namespace detail
 
 /** AES-128 block cipher with expanded round keys. */
 class Aes128
 {
   public:
-    explicit Aes128(const AesKey &key);
+    /** Expand @p key; @p kernel runs the rounds (tests pick a leg). */
+    explicit Aes128(const AesKey &key,
+                    const detail::AesKernel &kernel = detail::activeAes());
 
     /** Encrypt one 16-byte block in place. */
-    void encryptBlock(uint8_t block[16]) const;
-
-    /** Decrypt one 16-byte block in place. */
-    void decryptBlock(uint8_t block[16]) const;
-
-    /**
-     * CBC-encrypt with PKCS#7 padding.
-     * @return ciphertext, always a non-empty multiple of 16 bytes.
-     */
-    std::vector<uint8_t> cbcEncrypt(const std::vector<uint8_t> &plain,
-                                    const AesBlock &iv) const;
+    void
+    encryptBlock(uint8_t block[16]) const
+    {
+        _kernel->encryptBlock(_roundKeys.data(), block);
+    }
 
     /**
-     * CBC-decrypt and strip PKCS#7 padding.
-     * @param ok set to false on malformed input or bad padding.
+     * CTR-mode keystream XOR (encryption == decryption). The counter is
+     * the big-endian integer in bytes 8..15 of @p nonce; it wraps
+     * without carrying into byte 7.
      */
-    std::vector<uint8_t> cbcDecrypt(const std::vector<uint8_t> &cipher,
-                                    const AesBlock &iv, bool &ok) const;
-
-    /** CTR-mode keystream XOR (encryption == decryption). */
     std::vector<uint8_t> ctrCrypt(const std::vector<uint8_t> &data,
                                   const AesBlock &nonce) const;
 
     /** CTR-mode in place over a raw buffer. */
-    void ctrCrypt(uint8_t *data, size_t len, const AesBlock &nonce) const;
+    void
+    ctrCrypt(uint8_t *data, size_t len, const AesBlock &nonce) const
+    {
+        _kernel->ctrCrypt(_roundKeys.data(), data, len, nonce.data());
+    }
 
   private:
-    std::array<uint32_t, 44> _roundKeys;
-    /** Equivalent-inverse-cipher round keys (decrypt). */
-    std::array<uint32_t, 44> _decKeys;
+    const detail::AesKernel *_kernel;
+    /** The 11 round keys, 16 bytes each, in byte order. */
+    alignas(16) std::array<uint8_t, 176> _roundKeys;
 };
 
 } // namespace vg::crypto

@@ -10,11 +10,14 @@ namespace
 
 /** Normalize a key to one 64-byte block (hash if longer). */
 void
-keyBlock(const std::vector<uint8_t> &key, uint8_t k[64])
+keyBlock(const std::vector<uint8_t> &key,
+         const detail::Sha256Kernel &kernel, uint8_t k[64])
 {
     std::memset(k, 0, 64);
     if (key.size() > 64) {
-        Digest kd = Sha256::hash(key.data(), key.size());
+        Sha256 h(kernel);
+        h.update(key.data(), key.size());
+        Digest kd = h.final();
         std::memcpy(k, kd.data(), kd.size());
     } else if (!key.empty()) {
         std::memcpy(k, key.data(), key.size());
@@ -23,10 +26,12 @@ keyBlock(const std::vector<uint8_t> &key, uint8_t k[64])
 
 } // namespace
 
-HmacSha256::HmacSha256(const std::vector<uint8_t> &key)
+HmacSha256::HmacSha256(const std::vector<uint8_t> &key,
+                       const detail::Sha256Kernel &kernel)
+    : _inner(kernel), _outer(kernel)
 {
     uint8_t k[64];
-    keyBlock(key, k);
+    keyBlock(key, kernel, k);
 
     uint8_t pad[64];
     for (int i = 0; i < 64; i++)

@@ -32,7 +32,10 @@ namespace vg::crypto
 class HmacSha256
 {
   public:
-    explicit HmacSha256(const std::vector<uint8_t> &key);
+    /** Precompute the pad states; @p kernel runs every compression. */
+    explicit HmacSha256(
+        const std::vector<uint8_t> &key,
+        const detail::Sha256Kernel &kernel = detail::activeSha256());
 
     /** Start a streaming MAC: a hasher mid-way through ipad||message. */
     Sha256 begin() const { return _inner; }

@@ -85,7 +85,8 @@ RsaPublicKey::deserialize(const std::vector<uint8_t> &bytes, bool &ok)
 {
     RsaPublicKey key;
     size_t off = 0;
-    ok = getField(bytes, off, key.n) && getField(bytes, off, key.e);
+    ok = getField(bytes, off, key.n) && getField(bytes, off, key.e) &&
+         key.modulusBytes() >= kRsaMinModulusBytes;
     return key;
 }
 
@@ -108,7 +109,9 @@ RsaPrivateKey::deserialize(const std::vector<uint8_t> &bytes, bool &ok)
     size_t off = 0;
     ok = getField(bytes, off, key.n) && getField(bytes, off, key.e) &&
          getField(bytes, off, key.d) && getField(bytes, off, key.p) &&
-         getField(bytes, off, key.q) && deriveCrt(key);
+         getField(bytes, off, key.q) &&
+         key.publicKey().modulusBytes() >= kRsaMinModulusBytes &&
+         deriveCrt(key);
     return key;
 }
 

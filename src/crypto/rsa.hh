@@ -20,6 +20,7 @@
 #ifndef VG_CRYPTO_RSA_HH
 #define VG_CRYPTO_RSA_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -31,6 +32,15 @@ namespace vg::crypto
 
 class CtrDrbg;
 
+/**
+ * The smallest modulus, in bytes, that the key parsers accept: a
+ * SHA-256 signature needs 32 digest bytes plus 11 bytes of padding.
+ * A parsed key thus always holds a signature, and rsaEncrypt() of any
+ * message up to 32 bytes (an AES session key), so neither reaches its
+ * sim::fatal size check.
+ */
+constexpr size_t kRsaMinModulusBytes = 43;
+
 /** An RSA public key (n, e). */
 struct RsaPublicKey
 {
@@ -41,6 +51,12 @@ struct RsaPublicKey
     size_t modulusBytes() const { return (n.bitLength() + 7) / 8; }
 
     std::vector<uint8_t> serialize() const;
+
+    /**
+     * Parse a serialized key. @p ok is false on truncation and on a
+     * modulus shorter than kRsaMinModulusBytes: the hostile OS can
+     * hand sshd any public key file.
+     */
     static RsaPublicKey deserialize(const std::vector<uint8_t> &bytes,
                                     bool &ok);
 };
@@ -70,7 +86,8 @@ struct RsaPrivateKey
 
     /**
      * Parse a serialized key and derive its CRT parameters. @p ok is
-     * false on truncation and on inconsistent factors (p <= 1,
+     * false on truncation, on a modulus shorter than
+     * kRsaMinModulusBytes, and on inconsistent factors (p <= 1,
      * q <= 1, p*q != n, or q not invertible mod p), which the hostile
      * OS can hand an application through a key file.
      */

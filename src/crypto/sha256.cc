@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace vg::crypto
 {
 
@@ -44,7 +48,162 @@ round(uint32_t a, uint32_t b, uint32_t c, uint32_t &d, uint32_t e,
     h = t1 + t2;
 }
 
+/** The portable kernel: the message schedule in a stack array and the
+ *  working variables in registers across all @p nblocks blocks. */
+void
+portableCompress(uint32_t state[8], const uint8_t *data, size_t nblocks)
+{
+    for (; nblocks > 0; nblocks--, data += 64) {
+        uint32_t w[64];
+        for (int i = 0; i < 16; i++) {
+            w[i] = (uint32_t(data[i * 4]) << 24) |
+                   (uint32_t(data[i * 4 + 1]) << 16) |
+                   (uint32_t(data[i * 4 + 2]) << 8) |
+                   uint32_t(data[i * 4 + 3]);
+        }
+        for (int i = 16; i < 64; i++) {
+            uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^
+                          (w[i - 15] >> 3);
+            uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^
+                          (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+        // Eight rounds per iteration with rotated register roles — no
+        // value shuffling between rounds.
+        for (int i = 0; i < 64; i += 8) {
+            round(a, b, c, d, e, f, g, h, kRound[i + 0], w[i + 0]);
+            round(h, a, b, c, d, e, f, g, kRound[i + 1], w[i + 1]);
+            round(g, h, a, b, c, d, e, f, kRound[i + 2], w[i + 2]);
+            round(f, g, h, a, b, c, d, e, kRound[i + 3], w[i + 3]);
+            round(e, f, g, h, a, b, c, d, kRound[i + 4], w[i + 4]);
+            round(d, e, f, g, h, a, b, c, kRound[i + 5], w[i + 5]);
+            round(c, d, e, f, g, h, a, b, kRound[i + 6], w[i + 6]);
+            round(b, c, d, e, f, g, h, a, kRound[i + 7], w[i + 7]);
+        }
+
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
+
+constexpr detail::Sha256Kernel kPortable = {"portable", portableCompress};
+
+#if defined(__x86_64__)
+
+/**
+ * The SHA-NI kernel. The state lives in two registers in the order
+ * sha256rnds2 wants, ABEF and CDGH. Group g of four rounds adds
+ * K[4g..4g+3] to its message words G_g = W[4g..4g+3], and sha256rnds2
+ * runs two rounds on the low half of that sum, then two on the high
+ * half. The groups rotate through msg[4]; for g >= 4,
+ * G_g = msg2(msg1(G_g-4, G_g-3) + W[4g-7..4g-4], G_g-1), which is the
+ * schedule recurrence of FIPS 180-4 eq. 6.2 four words at a time.
+ */
+__attribute__((target("sha,sse4.1,ssse3"))) void
+shaniCompress(uint32_t state[8], const uint8_t *data, size_t nblocks)
+{
+    // Byte-swaps each 32-bit word: message words are big-endian.
+    const __m128i bswap =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+
+    __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i *>(state));
+    __m128i hgfe =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(state + 4));
+    __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+    __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+    for (; nblocks > 0; nblocks--, data += 64) {
+        const __m128i abef_in = abef;
+        const __m128i cdgh_in = cdgh;
+        __m128i msg[4];
+#pragma GCC unroll 16
+        for (size_t g = 0; g < 16; g++) {
+            __m128i w;
+            if (g < 4) {
+                w = _mm_shuffle_epi8(
+                    _mm_loadu_si128(
+                        reinterpret_cast<const __m128i *>(data + 16 * g)),
+                    bswap);
+            } else {
+                __m128i t = _mm_sha256msg1_epu32(msg[g & 3],
+                                                 msg[(g + 1) & 3]);
+                t = _mm_add_epi32(
+                    t, _mm_alignr_epi8(msg[(g + 3) & 3], msg[(g + 2) & 3],
+                                       4));
+                w = _mm_sha256msg2_epu32(t, msg[(g + 3) & 3]);
+            }
+            msg[g & 3] = w;
+            __m128i wk = _mm_add_epi32(
+                w, _mm_loadu_si128(
+                       reinterpret_cast<const __m128i *>(&kRound[4 * g])));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh,
+                                         _mm_shuffle_epi32(wk, 0x0e));
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+    __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+    hgfe = _mm_alignr_epi8(dchg, feba, 8);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state), dcba);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(state + 4), hgfe);
+}
+
+constexpr detail::Sha256Kernel kShani = {"sha-ni", shaniCompress};
+
+#endif // __x86_64__
+
 } // namespace
+
+namespace detail
+{
+
+const Sha256Kernel &
+portableSha256()
+{
+    return kPortable;
+}
+
+const Sha256Kernel *
+hardwareSha256()
+{
+#if defined(__x86_64__)
+    static const bool present = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("sha") &&
+               __builtin_cpu_supports("ssse3") &&
+               __builtin_cpu_supports("sse4.1");
+    }();
+    return present ? &kShani : nullptr;
+#else
+    return nullptr;
+#endif
+}
+
+const Sha256Kernel &
+activeSha256()
+{
+    static const Sha256Kernel &kernel =
+        hardwareSha256() ? *hardwareSha256() : portableSha256();
+    return kernel;
+}
+
+} // namespace detail
 
 void
 Sha256::reset()
@@ -53,50 +212,6 @@ Sha256::reset()
               0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
     _totalLen = 0;
     _bufferLen = 0;
-}
-
-void
-Sha256::processBlock(const uint8_t *block)
-{
-    uint32_t w[64];
-    for (int i = 0; i < 16; i++) {
-        w[i] = (uint32_t(block[i * 4]) << 24) |
-               (uint32_t(block[i * 4 + 1]) << 16) |
-               (uint32_t(block[i * 4 + 2]) << 8) |
-               uint32_t(block[i * 4 + 3]);
-    }
-    for (int i = 16; i < 64; i++) {
-        uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^
-                      (w[i - 15] >> 3);
-        uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^
-                      (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    uint32_t a = _state[0], b = _state[1], c = _state[2], d = _state[3];
-    uint32_t e = _state[4], f = _state[5], g = _state[6], h = _state[7];
-
-    // Eight rounds per iteration with rotated register roles — no
-    // value shuffling between rounds.
-    for (int i = 0; i < 64; i += 8) {
-        round(a, b, c, d, e, f, g, h, kRound[i + 0], w[i + 0]);
-        round(h, a, b, c, d, e, f, g, kRound[i + 1], w[i + 1]);
-        round(g, h, a, b, c, d, e, f, kRound[i + 2], w[i + 2]);
-        round(f, g, h, a, b, c, d, e, kRound[i + 3], w[i + 3]);
-        round(e, f, g, h, a, b, c, d, kRound[i + 4], w[i + 4]);
-        round(d, e, f, g, h, a, b, c, kRound[i + 5], w[i + 5]);
-        round(c, d, e, f, g, h, a, b, kRound[i + 6], w[i + 6]);
-        round(b, c, d, e, f, g, h, a, kRound[i + 7], w[i + 7]);
-    }
-
-    _state[0] += a;
-    _state[1] += b;
-    _state[2] += c;
-    _state[3] += d;
-    _state[4] += e;
-    _state[5] += f;
-    _state[6] += g;
-    _state[7] += h;
 }
 
 void
@@ -114,14 +229,15 @@ Sha256::update(const void *data, size_t len)
         p += take;
         len -= take;
         if (_bufferLen == _buffer.size()) {
-            processBlock(_buffer.data());
+            _kernel->compress(_state.data(), _buffer.data(), 1);
             _bufferLen = 0;
         }
     }
-    while (len >= 64) {
-        processBlock(p);
-        p += 64;
-        len -= 64;
+    if (len >= 64) {
+        size_t nblocks = len / 64;
+        _kernel->compress(_state.data(), p, nblocks);
+        p += 64 * nblocks;
+        len -= 64 * nblocks;
     }
     if (len > 0) {
         std::memcpy(_buffer.data(), p, len);
@@ -143,9 +259,7 @@ Sha256::final()
     std::memset(pad + n, 0, total - 8 - n);
     for (int i = 0; i < 8; i++)
         pad[total - 8 + i] = uint8_t(bit_len >> (56 - 8 * i));
-    processBlock(pad);
-    if (total == 128)
-        processBlock(pad + 64);
+    _kernel->compress(_state.data(), pad, total / 64);
 
     Digest out;
     for (int i = 0; i < 8; i++) {

@@ -5,11 +5,18 @@
  * Used for HMAC integrity tags on swapped ghost pages and translation
  * signatures, and for application file checksums (S 3.3).
  *
- * final() pads in one stack buffer and the compression loop is
- * unrolled eight rounds at a time. The textbook rotating round loop
- * with byte-at-a-time padding lives in the test oracle
+ * update() hands every whole 64-byte block to one multi-block
+ * compression call, and final() pads in one stack buffer. Two kernels
+ * implement that compression. On x86-64 CPUs with the SHA extensions
+ * (CPUID `sha`, with `ssse3` and `sse4.1`), sha256rnds2 does two
+ * rounds at a time and sha256msg1/sha256msg2 expand the message
+ * schedule. Every other host runs the portable kernel, whose rounds
+ * are unrolled eight at a time. Each process picks its kernel once,
+ * from CPUID; both produce the FIPS 180-4 digest, so the choice never
+ * shows in any output. The textbook rotating round loop with
+ * byte-at-a-time padding lives in the test oracle
  * (tests/oracle/crypto_ref.hh), which the KATs and CryptoFastSweep
- * check this implementation against.
+ * check both kernels against.
  */
 
 #ifndef VG_CRYPTO_SHA256_HH
@@ -27,11 +34,40 @@ namespace vg::crypto
 /** A 32-byte SHA-256 digest. */
 using Digest = std::array<uint8_t, 32>;
 
+namespace detail
+{
+
+/** One implementation of the SHA-256 compression function. */
+struct Sha256Kernel
+{
+    const char *name;
+    /** Absorb @p nblocks consecutive 64-byte blocks into @p state. */
+    void (*compress)(uint32_t state[8], const uint8_t *data,
+                     size_t nblocks);
+};
+
+/** The portable unrolled-rounds kernel; runs on every host. */
+const Sha256Kernel &portableSha256();
+
+/** The SHA-NI kernel, or nullptr when this CPU lacks it. */
+const Sha256Kernel *hardwareSha256();
+
+/** The kernel this process uses: hardware when present, chosen once. */
+const Sha256Kernel &activeSha256();
+
+} // namespace detail
+
 /** Incremental SHA-256 hasher. */
 class Sha256
 {
   public:
-    Sha256() { reset(); }
+    /** A hasher whose compressions run on @p kernel (tests pick a leg). */
+    explicit Sha256(
+        const detail::Sha256Kernel &kernel = detail::activeSha256())
+        : _kernel(&kernel)
+    {
+        reset();
+    }
 
     /** Reset to the initial state. */
     void reset();
@@ -53,8 +89,7 @@ class Sha256
     }
 
   private:
-    void processBlock(const uint8_t *block);
-
+    const detail::Sha256Kernel *_kernel;
     std::array<uint32_t, 8> _state;
     std::array<uint8_t, 64> _buffer;
     uint64_t _totalLen;

@@ -39,7 +39,6 @@ gfMul(uint8_t a, uint8_t b)
 struct SBoxes
 {
     uint8_t fwd[256];
-    uint8_t inv[256];
 
     SBoxes()
     {
@@ -62,7 +61,6 @@ struct SBoxes
                 s = uint8_t(s | (bit << i));
             }
             fwd[x] = s;
-            inv[s] = uint8_t(x);
         }
     }
 };
@@ -90,14 +88,14 @@ subBytes(State s, const uint8_t box[256])
         s[i] = box[s[i]];
 }
 
-/** Row r rotates left by r (or right by r when @p inverse). */
+/** Row r rotates left by r. */
 void
-shiftRows(State s, bool inverse)
+shiftRows(State s)
 {
     uint8_t t[16];
     for (int r = 0; r < 4; r++) {
         for (int c = 0; c < 4; c++) {
-            int from = inverse ? (c + 4 - r) % 4 : (c + r) % 4;
+            int from = (c + r) % 4;
             t[4 * c + r] = s[4 * from + r];
         }
     }
@@ -121,7 +119,6 @@ mixColumns(State s, const uint8_t m[4])
 }
 
 constexpr uint8_t kMix[4] = {2, 3, 1, 1};
-constexpr uint8_t kInvMix[4] = {14, 11, 13, 9};
 
 /** Increment the 64-bit big-endian counter in bytes 8..15. */
 void
@@ -171,74 +168,11 @@ RefAes128::encryptBlock(uint8_t block[16]) const
     addRoundKey(block, _roundKeys[0]);
     for (size_t round = 1; round <= 10; round++) {
         subBytes(block, sb.fwd);
-        shiftRows(block, false);
+        shiftRows(block);
         if (round != 10)
             mixColumns(block, kMix);
         addRoundKey(block, _roundKeys[round]);
     }
-}
-
-void
-RefAes128::decryptBlock(uint8_t block[16]) const
-{
-    const SBoxes &sb = sboxes();
-    addRoundKey(block, _roundKeys[10]);
-    for (size_t round = 10; round-- > 0;) {
-        shiftRows(block, true);
-        subBytes(block, sb.inv);
-        addRoundKey(block, _roundKeys[round]);
-        if (round != 0)
-            mixColumns(block, kInvMix);
-    }
-}
-
-std::vector<uint8_t>
-RefAes128::cbcEncrypt(const std::vector<uint8_t> &plain,
-                      const AesBlock &iv) const
-{
-    std::vector<uint8_t> padded(plain);
-    uint8_t pad = uint8_t(16 - plain.size() % 16);
-    for (int i = 0; i < pad; i++)
-        padded.push_back(pad);
-
-    std::vector<uint8_t> out;
-    AesBlock prev = iv;
-    for (size_t off = 0; off < padded.size(); off += 16) {
-        uint8_t blk[16];
-        for (int i = 0; i < 16; i++)
-            blk[i] = uint8_t(padded[off + size_t(i)] ^ prev[size_t(i)]);
-        encryptBlock(blk);
-        out.insert(out.end(), blk, blk + 16);
-        std::memcpy(prev.data(), blk, 16);
-    }
-    return out;
-}
-
-std::vector<uint8_t>
-RefAes128::cbcDecrypt(const std::vector<uint8_t> &cipher,
-                      const AesBlock &iv, bool &ok) const
-{
-    ok = false;
-    if (cipher.empty() || cipher.size() % 16 != 0)
-        return {};
-    std::vector<uint8_t> out(cipher.size());
-    AesBlock prev = iv;
-    for (size_t off = 0; off < cipher.size(); off += 16) {
-        uint8_t blk[16];
-        std::memcpy(blk, cipher.data() + off, 16);
-        decryptBlock(blk);
-        for (size_t i = 0; i < 16; i++)
-            out[off + i] = uint8_t(blk[i] ^ prev[i]);
-        std::memcpy(prev.data(), cipher.data() + off, 16);
-    }
-    size_t pad = out.back();
-    if (pad < 1 || pad > 16)
-        return {};
-    for (size_t i = out.size() - pad; i < out.size(); i++)
-        if (out[i] != pad)
-            return {};
-    ok = true;
-    return std::vector<uint8_t>(out.begin(), out.end() - long(pad));
 }
 
 std::vector<uint8_t>

@@ -41,21 +41,13 @@
 namespace vg::oracle
 {
 
-/** Byte-oriented FIPS 197 AES-128 with CBC and CTR modes. */
+/** Byte-oriented FIPS 197 AES-128 encryption with CTR mode. */
 class RefAes128
 {
   public:
     explicit RefAes128(const crypto::AesKey &key);
 
     void encryptBlock(uint8_t block[16]) const;
-    void decryptBlock(uint8_t block[16]) const;
-
-    /** CBC with PKCS#7 padding. */
-    std::vector<uint8_t> cbcEncrypt(const std::vector<uint8_t> &plain,
-                                    const crypto::AesBlock &iv) const;
-    std::vector<uint8_t> cbcDecrypt(const std::vector<uint8_t> &cipher,
-                                    const crypto::AesBlock &iv,
-                                    bool &ok) const;
 
     /** CTR keystream XOR, one block at a time. */
     std::vector<uint8_t> ctrCrypt(const std::vector<uint8_t> &data,

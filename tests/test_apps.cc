@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 
 #include "apps/postmark.hh"
 #include "apps/ssh_common.hh"
@@ -386,6 +387,187 @@ TEST(Ssh, AgentSignsChallenges)
         EXPECT_EQ(status, 0);
         return 0;
     });
+}
+
+// --------------------------------------------------------------------
+// Hostile OS input to the ssh suite: a tiny host key and a scripted
+// fake server. Each must fail the session or the server, never end
+// the simulation.
+// --------------------------------------------------------------------
+
+namespace
+{
+
+/** A consistent RSA key far too small for any padding: n = 3 * 5. */
+crypto::RsaPrivateKey
+tinyKey()
+{
+    crypto::RsaPrivateKey tiny;
+    tiny.n = crypto::BigNum(15);
+    tiny.e = crypto::BigNum(3);
+    tiny.d = crypto::BigNum(3);
+    tiny.p = crypto::BigNum(3);
+    tiny.q = crypto::BigNum(5);
+    return tiny;
+}
+
+/** Replace the file at @p path with @p bytes, as the OS may. */
+void
+plantBytes(Kernel &kernel, const std::string &path,
+           const std::vector<uint8_t> &bytes)
+{
+    Ino ino = 0;
+    if (kernel.fs().lookup(path, ino) != FsStatus::Ok) {
+        ASSERT_EQ(kernel.fs().create(path, ino), FsStatus::Ok);
+    }
+    ASSERT_EQ(kernel.fs().truncate(ino), FsStatus::Ok);
+    ASSERT_EQ(kernel.fs().write(ino, 0, bytes.data(), bytes.size()),
+              int64_t(bytes.size()));
+}
+
+/**
+ * Run ssh-keygen and @p beforeFetch, then @p sessions sshFetch calls
+ * against a fake server. The server runs the handshake (accepting any
+ * signature), then hands connection @p i to @p script.
+ */
+std::vector<SshResult>
+fetchFromFakeServer(System &sys, const sva::AppBinary &bin, size_t sessions,
+                    const std::function<void(UserApi &)> &beforeFetch,
+                    const std::function<void(UserApi &, int, size_t)> &script)
+{
+    std::vector<SshResult> results(sessions);
+    sys.runProcess("init", [&](UserApi &api) {
+        uint64_t kg = api.fork([&](UserApi &capi) {
+            return capi.execve(&bin, [](UserApi &napi) {
+                return sshKeygen(napi);
+            });
+        });
+        int status = -1;
+        api.waitpid(kg, status);
+        if (status != 0)
+            return 1;
+        beforeFetch(api);
+
+        uint64_t srv = api.fork([&](UserApi &capi) {
+            int ls = capi.socket();
+            if (capi.bind(ls, sshdPort) != 0 || capi.listen(ls) != 0)
+                return 1;
+            for (size_t i = 0; i < sessions; i++) {
+                int conn = capi.accept(ls);
+                if (conn < 0)
+                    return 2;
+                std::string banner;
+                std::vector<uint8_t> signature;
+                if (recvStr(capi, conn, banner) &&
+                    sendMsg(capi, conn, std::vector<uint8_t>(16, 0x42)) &&
+                    recvMsg(capi, conn, signature) &&
+                    sendStr(capi, conn, "OK"))
+                    script(capi, conn, i);
+                capi.close(conn);
+            }
+            capi.close(ls);
+            return 0;
+        });
+        for (int i = 0; i < 4; i++)
+            api.yield();
+
+        for (SshResult &result : results) {
+            uint64_t cli = api.fork([&](UserApi &capi) {
+                return capi.execve(&bin, [&](UserApi &napi) {
+                    result = sshFetch(napi, "/payload", false,
+                                      /*keep_data=*/true);
+                    return result.ok ? 0 : 1;
+                });
+            });
+            api.waitpid(cli, status);
+        }
+        api.waitpid(srv, status);
+        return 0;
+    });
+    return results;
+}
+
+} // namespace
+
+TEST(Ssh, ClientRefusesTinyHostKey)
+{
+    System sys(appConfig());
+    sys.boot();
+    sva::AppBinary bin =
+        sys.vm().packageApp("openssh", "ssh-code", testAppKey());
+    // The client must refuse the planted key before it wraps the
+    // session key, so the server hangs up straight after "OK".
+    std::vector<SshResult> results = fetchFromFakeServer(
+        sys, bin, 1,
+        [&](UserApi &api) {
+            api.mkdir("/etc");
+            plantBytes(api.kernel(), hostKeyPath, tinyKey().serialize());
+        },
+        [](UserApi &, int, size_t) {});
+    EXPECT_FALSE(results[0].ok);
+    EXPECT_EQ(results[0].bytes, 0u);
+}
+
+TEST(Ssh, ClientRejectsHostileSizeLine)
+{
+    System sys(appConfig());
+    sys.boot();
+    sva::AppBinary bin =
+        sys.vm().packageApp("openssh", "ssh-code", testAppKey());
+    // Each line but the last makes std::stoull throw or parses only in
+    // part; the last is well formed and must still work.
+    const std::vector<std::string> lines = {
+        "SIZE x",     "SIZE ",       "SIZE 99999999999999999999999",
+        "SIZE 12abc", "SIZE -1",     "SIZE  7",
+        "SIZE 0x10",  "SIZE 0",
+    };
+    std::vector<SshResult> results = fetchFromFakeServer(
+        sys, bin, lines.size(),
+        [&](UserApi &api) {
+            // The server key the client wraps the session key to.
+            crypto::CtrDrbg rng({'h', 'k'});
+            api.mkdir("/etc");
+            plantBytes(api.kernel(), hostKeyPath,
+                       crypto::rsaGenerate(rng, 384).serialize());
+        },
+        [&](UserApi &api, int conn, size_t i) {
+            std::vector<uint8_t> wrappedKey;
+            std::string request;
+            if (recvMsg(api, conn, wrappedKey) &&
+                recvStr(api, conn, request))
+                sendStr(api, conn, lines[i]);
+        });
+    for (size_t i = 0; i + 1 < lines.size(); i++) {
+        EXPECT_FALSE(results[i].ok) << lines[i];
+        EXPECT_EQ(results[i].bytes, 0u) << lines[i];
+    }
+    EXPECT_TRUE(results.back().ok);
+    EXPECT_EQ(results.back().bytes, 0u);
+}
+
+TEST(Ssh, ServerRefusesTinyAuthorizedKey)
+{
+    System sys(appConfig());
+    sys.boot();
+    sva::AppBinary bin =
+        sys.vm().packageApp("openssh", "ssh-code", testAppKey());
+    int code = sys.runProcess("init", [&](UserApi &api) {
+        uint64_t kg = api.fork([&](UserApi &capi) {
+            return capi.execve(&bin, [](UserApi &napi) {
+                return sshKeygen(napi);
+            });
+        });
+        int status = -1;
+        api.waitpid(kg, status);
+        if (status != 0)
+            return 1;
+        plantBytes(api.kernel(), authorizedPath,
+                   tinyKey().publicKey().serialize());
+        SshdConfig cfg;
+        return sshd(api, cfg);
+    });
+    // sshd returns 3 when /etc/authorized does not parse.
+    EXPECT_EQ(code, 3);
 }
 
 // --------------------------------------------------------------------

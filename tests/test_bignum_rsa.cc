@@ -378,6 +378,36 @@ TEST(Rsa, DeserializeRejectsDegenerateFactors)
     EXPECT_FALSE(deserializes(square.serialize()));
 }
 
+TEST(Rsa, DeserializeRejectsTinyModulus)
+{
+    // n = 15 = 3 * 5 with e = d = 3 is a consistent key (e*d = 1 mod
+    // phi = 8), but no padding fits it: parsing must fail instead of
+    // leaving rsaEncrypt/rsaSign/rsaVerify to end the simulation.
+    RsaPrivateKey tiny;
+    tiny.n = BigNum(15);
+    tiny.e = BigNum(3);
+    tiny.d = BigNum(3);
+    tiny.p = BigNum(3);
+    tiny.q = BigNum(5);
+    EXPECT_FALSE(deserializes(tiny.serialize()));
+    bool ok = true;
+    RsaPublicKey::deserialize(tiny.publicKey().serialize(), ok);
+    EXPECT_FALSE(ok);
+
+    // A real 42-byte modulus is one byte short; 43 bytes is the floor.
+    for (size_t bits : {336, 344}) {
+        CtrDrbg rng({'t', 'i', 'n', 'y', uint8_t(bits)});
+        RsaPrivateKey key = rsaGenerate(rng, bits);
+        size_t bytes = key.publicKey().modulusBytes();
+        ASSERT_EQ(bytes, bits / 8);
+        bool accept = bytes >= kRsaMinModulusBytes;
+        EXPECT_EQ(deserializes(key.serialize()), accept) << bits;
+        ok = !accept;
+        RsaPublicKey::deserialize(key.publicKey().serialize(), ok);
+        EXPECT_EQ(ok, accept) << bits;
+    }
+}
+
 TEST(Rsa, SwappedFactorsStillAKey)
 {
     // (q, p) is as good a factoring as (p, q): the key loads and its

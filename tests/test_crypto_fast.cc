@@ -1,8 +1,9 @@
 /**
  * @file
- * The production crypto (T-table AES, one-shot SHA-256, precomputed
- * HMAC states, Montgomery modExp, cached seal keys) must be *bit
- * identical* to the reference oracle in tests/oracle/crypto_ref.hh:
+ * The production crypto (AES and SHA-256 on both their portable and
+ * hardware kernels, precomputed HMAC states, Montgomery modExp, cached
+ * seal keys) must be *bit identical* to the reference oracle in
+ * tests/oracle/crypto_ref.hh:
  * same ciphertexts, same digests, same MACs, same sealed blobs and
  * RSA bytes. These tests run both side by side on random inputs. The
  * machine-level ghost-page swap is pinned to constants captured while
@@ -14,8 +15,10 @@
 
 #include <cstring>
 #include <deque>
+#include <iostream>
 #include <map>
 #include <optional>
+#include <tuple>
 
 #include "crypto/aes.hh"
 #include "crypto/bignum.hh"
@@ -59,15 +62,59 @@ class CryptoFastSweep : public ::testing::TestWithParam<int>
 };
 
 // --------------------------------------------------------------------
-// AES: block, CBC, and CTR over random keys and lengths.
+// AES and SHA-256 kernels. Each leg (portable, hardware) is reached
+// through its detail:: entry point and checked against the oracle, so
+// both are tested on every host that has the hardware extensions; the
+// hardware leg skips, saying why, where CPUID lacks them.
 // --------------------------------------------------------------------
 
-TEST_P(CryptoFastSweep, AesPrimitives)
+enum class Leg
 {
+    Portable,
+    Hardware,
+};
+
+class CryptoKernelSweep
+    : public ::testing::TestWithParam<std::tuple<Leg, int>>
+{
+  protected:
+    Leg leg() const { return std::get<0>(GetParam()); }
+
+    CtrDrbg
+    rng() const
+    {
+        return CtrDrbg({uint8_t(std::get<1>(GetParam())), 'c', 'k'});
+    }
+
+    const detail::AesKernel *
+    aesKernel() const
+    {
+        return leg() == Leg::Portable ? &detail::portableAes()
+                                      : detail::hardwareAes();
+    }
+
+    const detail::Sha256Kernel *
+    shaKernel() const
+    {
+        return leg() == Leg::Portable ? &detail::portableSha256()
+                                      : detail::hardwareSha256();
+    }
+};
+
+TEST_P(CryptoKernelSweep, AesPrimitives)
+{
+    const detail::AesKernel *kernel = aesKernel();
+    if (!kernel)
+        GTEST_SKIP() << "CPUID lacks aes: hardware AES leg not run";
+    RecordProperty("kernel", kernel->name);
     CtrDrbg r = rng();
+
+    // Random keys: single blocks, and CTR over random lengths on
+    // buffers at every alignment.
+    std::vector<uint8_t> buf(600 + 16);
     for (int round = 0; round < 20; round++) {
         AesKey key = randomKey(r);
-        Aes128 prod(key);
+        Aes128 prod(key, *kernel);
         RefAes128 ref(key);
 
         uint8_t blkP[16], blkR[16];
@@ -76,66 +123,86 @@ TEST_P(CryptoFastSweep, AesPrimitives)
         prod.encryptBlock(blkP);
         ref.encryptBlock(blkR);
         ASSERT_EQ(std::memcmp(blkP, blkR, 16), 0) << "round " << round;
-        prod.decryptBlock(blkP);
-        ref.decryptBlock(blkR);
-        ASSERT_EQ(std::memcmp(blkP, blkR, 16), 0) << "round " << round;
 
-        AesBlock iv{};
-        r.generate(iv.data(), iv.size());
+        AesBlock nonce{};
+        r.generate(nonce.data(), nonce.size());
         size_t len = size_t(r.nextBounded(600));
+        size_t shift = size_t(round) % 16;
         std::vector<uint8_t> plain = r.generate(len);
-
-        auto ctrP = prod.ctrCrypt(plain, iv);
-        auto ctrR = ref.ctrCrypt(plain, iv);
-        ASSERT_EQ(ctrP, ctrR) << "ctr len " << len;
-        ASSERT_EQ(prod.ctrCrypt(ctrP, iv), plain);
-
-        auto cbcP = prod.cbcEncrypt(plain, iv);
-        auto cbcR = ref.cbcEncrypt(plain, iv);
-        ASSERT_EQ(cbcP, cbcR) << "cbc len " << len;
-        bool okP = false, okR = false;
-        auto backP = prod.cbcDecrypt(cbcP, iv, okP);
-        auto backR = ref.cbcDecrypt(cbcP, iv, okR);
-        ASSERT_TRUE(okP && okR);
-        ASSERT_EQ(backP, plain);
-        ASSERT_EQ(backR, plain);
+        std::memcpy(buf.data() + shift, plain.data(), len);
+        prod.ctrCrypt(buf.data() + shift, len, nonce);
+        std::vector<uint8_t> want = ref.ctrCrypt(plain, nonce);
+        ASSERT_EQ(std::memcmp(buf.data() + shift, want.data(), len), 0)
+            << "ctr len " << len << " at offset " << shift;
+        ASSERT_EQ(prod.ctrCrypt(want, nonce), plain);
     }
 
-    // A nonce near the 64-bit counter boundary exercises the carry
-    // chain of both CTR implementations.
+    // Every CTR length from 0 to 300: whole interleave groups, single
+    // blocks after them, and a partial tail in every combination.
     AesKey key = randomKey(r);
-    Aes128 prod(key);
+    Aes128 prod(key, *kernel);
     RefAes128 ref(key);
     AesBlock nonce{};
-    for (int i = 8; i < 16; i++)
-        nonce[size_t(i)] = 0xff;
-    std::vector<uint8_t> data = r.generate(128);
-    ASSERT_EQ(prod.ctrCrypt(data, nonce), ref.ctrCrypt(data, nonce));
+    r.generate(nonce.data(), nonce.size());
+    for (size_t len = 0; len <= 300; len++) {
+        std::vector<uint8_t> plain = r.generate(len);
+        ASSERT_EQ(prod.ctrCrypt(plain, nonce), ref.ctrCrypt(plain, nonce))
+            << "ctr len " << len;
+    }
+
+    // The low 64 counter bits wrap at every position inside (and just
+    // past) one eight-block group: the counter must wrap to zero
+    // without carrying into byte 7.
+    for (uint64_t before = 1; before <= 17; before++) {
+        AesBlock wrap{};
+        r.generate(wrap.data(), 8);
+        uint64_t ctr = 0 - before;
+        for (int i = 15; i >= 8; i--, ctr >>= 8)
+            wrap[size_t(i)] = uint8_t(ctr);
+        std::vector<uint8_t> plain = r.generate(16 * 24 + 5);
+        ASSERT_EQ(prod.ctrCrypt(plain, wrap), ref.ctrCrypt(plain, wrap))
+            << "counter wraps after " << before << " blocks";
+    }
 }
 
-// --------------------------------------------------------------------
-// SHA-256 + HMAC: random lengths, random chunking, random key sizes.
-// --------------------------------------------------------------------
-
-TEST_P(CryptoFastSweep, ShaAndHmac)
+TEST_P(CryptoKernelSweep, ShaAndHmac)
 {
-    CtrDrbg r = rng();
-    for (size_t len = 0; len < 200; len++) {
-        std::vector<uint8_t> msg = r.generate(len);
-        ASSERT_EQ(Sha256::hash(msg), refSha256(msg)) << "len " << len;
+    const detail::Sha256Kernel *kernel = shaKernel();
+    if (!kernel) {
+        GTEST_SKIP() << "CPUID lacks sha, ssse3 or sse4.1: hardware "
+                        "SHA-256 leg not run";
     }
+    RecordProperty("kernel", kernel->name);
+    CtrDrbg r = rng();
+
+    auto hashOf = [&](const uint8_t *p, size_t n) {
+        Sha256 h(*kernel);
+        h.update(p, n);
+        return h.final();
+    };
+
+    // Every length across the one- and two-block padding cases, from
+    // an unaligned buffer.
+    for (size_t len = 0; len < 200; len++) {
+        std::vector<uint8_t> msg = r.generate(len + 1);
+        ASSERT_EQ(hashOf(msg.data() + 1, len), refSha256(msg.data() + 1, len))
+            << "len " << len;
+    }
+
+    // Random splits: updates that top up the buffer and then hand
+    // several whole blocks to one compress call, and updates that
+    // stay inside the buffer.
     for (int round = 0; round < 10; round++) {
         std::vector<uint8_t> msg =
             r.generate(size_t(r.nextBounded(8192)));
         Digest ref = refSha256(msg);
-        ASSERT_EQ(Sha256::hash(msg), ref);
+        ASSERT_EQ(hashOf(msg.data(), msg.size()), ref);
 
-        // Random chunking must not change either digest.
-        Sha256 prodH;
+        Sha256 prodH(*kernel);
         RefSha256 refH;
         size_t off = 0;
         while (off < msg.size()) {
-            size_t n = std::min<size_t>(r.nextBounded(200) + 1,
+            size_t n = std::min<size_t>(r.nextBounded(400) + 1,
                                         msg.size() - off);
             prodH.update(msg.data() + off, n);
             refH.update(msg.data() + off, n);
@@ -144,15 +211,58 @@ TEST_P(CryptoFastSweep, ShaAndHmac)
         ASSERT_EQ(prodH.final(), ref);
         ASSERT_EQ(refH.final(), ref);
     }
+
+    // The raw kernel on 0..4 blocks against the portable one.
+    std::vector<uint8_t> blocks = r.generate(4 * 64);
+    for (size_t n = 0; n <= 4; n++) {
+        uint32_t got[8], want[8];
+        for (int i = 0; i < 8; i++)
+            got[i] = want[i] = uint32_t(r.next64());
+        kernel->compress(got, blocks.data(), n);
+        detail::portableSha256().compress(want, blocks.data(), n);
+        ASSERT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+            << n << " blocks";
+    }
+
+    // HMAC at every key-size class (short, one block, hashed long
+    // keys), one-shot and streamed through begin()/finish().
     for (size_t key_len = 0; key_len < 150; key_len += 7) {
         std::vector<uint8_t> key = r.generate(key_len);
         std::vector<uint8_t> msg =
             r.generate(size_t(r.nextBounded(500)));
         Digest ref = refHmacSha256(key, msg);
-        ASSERT_EQ(hmacSha256(key, msg.data(), msg.size()), ref)
-            << "key len " << key_len;
-        ASSERT_EQ(HmacSha256(key).mac(msg), ref);
+        HmacSha256 mac(key, *kernel);
+        ASSERT_EQ(mac.mac(msg), ref) << "key len " << key_len;
+
+        Sha256 inner = mac.begin();
+        size_t cut = msg.empty() ? 0 : size_t(r.nextBounded(msg.size()));
+        inner.update(msg.data(), cut);
+        inner.update(msg.data() + cut, msg.size() - cut);
+        ASSERT_EQ(mac.finish(inner), ref) << "key len " << key_len;
     }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Legs, CryptoKernelSweep,
+    ::testing::Combine(::testing::Values(Leg::Portable, Leg::Hardware),
+                       ::testing::Values(1, 2, 3, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<Leg, int>> &info) {
+        return std::string(std::get<0>(info.param) == Leg::Portable
+                               ? "portable"
+                               : "hardware") +
+               "_" + std::to_string(std::get<1>(info.param));
+    });
+
+/** Each process uses the hardware kernel exactly when CPUID has it. */
+TEST(CryptoDispatch, ActiveKernelFollowsCpuid)
+{
+    const detail::AesKernel *aes = detail::hardwareAes();
+    EXPECT_EQ(&detail::activeAes(), aes ? aes : &detail::portableAes());
+    const detail::Sha256Kernel *sha = detail::hardwareSha256();
+    EXPECT_EQ(&detail::activeSha256(),
+              sha ? sha : &detail::portableSha256());
+    std::cout << "active kernels: AES " << detail::activeAes().name
+              << ", SHA-256 " << detail::activeSha256().name << "\n";
 }
 
 // --------------------------------------------------------------------
