@@ -103,18 +103,20 @@ struct Result {
     uint64_t traceRetired = 0;
 };
 
-/** Translate kModuleSrc under @p vg, call work(N) kCountedCalls times
+/** Translate kModuleSrc under @p vg with @p masks lowering, call
+ *  work(N) kCountedCalls times
  *  for the simulated counters, then repeatedly for at least
  *  @p minSeconds of wall clock for the host rates. With @p traceTier
  *  the executor's trace tier is enabled, so hot-loop passes run as
  *  verified superinstruction blocks. */
 Result
 measure(const std::string &name, const sim::VgConfig &vg,
-        uint64_t iters, double minSeconds, bool traceTier = false)
+        cc::SandboxMasks masks, uint64_t iters, double minSeconds,
+        bool traceTier = false)
 {
     sim::SimContext ctx(vg);
     std::vector<uint8_t> key(32, 1);
-    cc::Translator tr(key, ctx);
+    cc::Translator tr(key, ctx, masks);
     auto r = tr.translateText(kModuleSrc, 0xffffff9000000000ull);
     if (!r.ok) {
         std::fprintf(stderr, "translate failed: %s\n",
@@ -184,22 +186,26 @@ main(int argc, char **argv)
     const uint64_t iters = smoke ? 200 : 2000;
     const double minSeconds = smoke ? 0.05 : 0.5;
 
-    sim::VgConfig unfused = sim::VgConfig::full();
-    unfused.fuseSandboxMasks = false;
+    using cc::SandboxMasks;
+    const sim::VgConfig native = sim::VgConfig::native();
+    const sim::VgConfig full = sim::VgConfig::full();
 
     std::vector<Result> results;
-    results.push_back(
-        measure("native", sim::VgConfig::native(), iters, minSeconds));
-    results.push_back(measure("native+trace", sim::VgConfig::native(),
-                              iters, minSeconds, true));
-    results.push_back(
-        measure("vg-fused", sim::VgConfig::full(), iters, minSeconds));
-    results.push_back(measure("vg-fused+trace", sim::VgConfig::full(),
-                              iters, minSeconds, true));
-    results.push_back(measure("vg-unfused", unfused, iters,
-                              minSeconds));
-    results.push_back(measure("vg-unfused+trace", unfused, iters,
-                              minSeconds, true));
+    results.push_back(measure("native", native, SandboxMasks::Fused,
+                              iters, minSeconds));
+    results.push_back(measure("native+trace", native,
+                              SandboxMasks::Fused, iters, minSeconds,
+                              true));
+    results.push_back(measure("vg-fused", full, SandboxMasks::Fused,
+                              iters, minSeconds));
+    results.push_back(measure("vg-fused+trace", full,
+                              SandboxMasks::Fused, iters, minSeconds,
+                              true));
+    results.push_back(measure("vg-unfused", full, SandboxMasks::Unfused,
+                              iters, minSeconds));
+    results.push_back(measure("vg-unfused+trace", full,
+                              SandboxMasks::Unfused, iters, minSeconds,
+                              true));
 
     std::printf("%-18s %14s %12s %18s %8s\n", "config", "insts/call",
                 "us/call", "host insts/sec", "traces");

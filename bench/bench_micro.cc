@@ -182,7 +182,7 @@ BENCHMARK(BM_SandboxPass);
 // --------------------------------------------------------------------
 // Kmem hot path: host cost of instrumented kernel memory access,
 // fast path (Arg 1, the default configuration) vs the reference
-// per-access path (Arg 0, VgConfig::kmemFastPath=false). Simulated
+// per-access path (Arg 0, kern::Kmem::Path::Reference). Simulated
 // cycles and stats are identical between the two (see the KmemFast
 // differential tests); only host wall time differs.
 // --------------------------------------------------------------------
@@ -204,18 +204,12 @@ struct KmemRig
     static constexpr hw::Vaddr userBase = 0x400000;
     static constexpr int userPages = 16;
 
-    static sim::VgConfig
-    configFor(bool fast)
-    {
-        sim::VgConfig cfg = sim::VgConfig::full();
-        cfg.kmemFastPath = fast;
-        return cfg;
-    }
-
     explicit KmemRig(bool fast)
-        : ctx(configFor(fast)), mem(64), mmu(mem, ctx),
+        : ctx(sim::VgConfig::full()), mem(64), mmu(mem, ctx),
           iommu(mem, ctx), tpm({'b', 'k'}),
-          vm(ctx, mem, mmu, iommu, tpm), kmem(ctx, mem, mmu, vm)
+          vm(ctx, mem, mmu, iommu, tpm),
+          kmem(ctx, mem, mmu, vm,
+               fast ? kern::Kmem::Path::Fast : kern::Kmem::Path::Reference)
     {
         // Page tables in frames 0..3; user pages in frames 8..23.
         using namespace hw;

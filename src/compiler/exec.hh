@@ -19,7 +19,7 @@
  * allocation (call frames are spans of one flat register stack that is
  * reused across runs).
  *
- * Trace tier (VgConfig::traceTier): above the predecoded interpreter,
+ * Trace tier (Executor::enableTraceTier): above the predecoded interpreter,
  * lightweight profiling counters on taken backward jumps and function
  * entries detect hot anchors. A hot anchor's next pass is recorded and
  * handed to Translator::spliceTrace, which lays the path out as a
@@ -152,15 +152,20 @@ class Executor
      *  faults FuelExhausted before executing. */
     void setFuel(uint64_t fuel) { _fuel = fuel; }
 
+    /** Executions of a back edge / function entry before a trace is
+     *  recorded there. */
+    static constexpr unsigned kTraceHotThreshold = 50;
+
     /**
      * Turn on the trace tier, forming superinstruction blocks through
      * @p translator (which re-verifies and re-signs every spliced
-     * image; must outlive the Executor). No-op when
-     * VgConfig::traceTier is off or the VG_DISABLE_TRACE_TIER
-     * environment variable is set — execution then stays purely
-     * interpreted.
+     * image; must outlive the Executor). An anchor becomes hot after
+     * @p hotThreshold executions; tests pass a lower value to form
+     * traces in a few calls. This call is the tier's only switch: an
+     * Executor that never makes it stays purely interpreted.
      */
-    void enableTraceTier(Translator &translator);
+    void enableTraceTier(Translator &translator,
+                         unsigned hotThreshold = kTraceHotThreshold);
 
     /** Image currently executed: the base image, or the newest
      *  verified + re-signed spliced generation. */
@@ -230,13 +235,6 @@ class Executor
             FrameLoad,  ///< FrameAddr + Load from it
             FrameStore, ///< FrameAddr + Store to it
             StoreLoad,  ///< adjacent Store then Load
-            // Unfused masking sequence (fuseSandboxMasks = false):
-            // the 13-instruction ghost/SVA sequence emulated in one
-            // dispatch, every architectural register write performed
-            // in order so side exits observe identical state.
-            SandboxSeq, ///< the bare 13-inst sequence
-            SeqLoad,    ///< sequence + Load through its result
-            SeqStore,   ///< sequence + Store through its result
         };
         K kind = K::Nop;
         MOp op2 = MOp::ConstI; ///< sub-op selector for Arith/ArithImm
@@ -251,22 +249,10 @@ class Executor
         uint64_t imm = 0;
         uint32_t next = 0;   ///< fallthrough / fused-jump successor
         uint32_t target = 0; ///< branch-taken successor
-        uint32_t seq = 0;    ///< MaskSeq index (SandboxSeq/SeqLoad/
-                             ///< SeqStore only)
         /** Per-iteration prefixes (exclusive / inclusive of this µop;
          *  inclusive cycles count success extras). */
         uint32_t instsBefore = 0, instsAfter = 0;
         uint64_t cyclesBefore = 0, cyclesAfter = 0;
-    };
-
-    /** Register wiring of one recognized unfused masking sequence:
-     *  the address operand plus the thirteen destination registers in
-     *  program order. The runner replays the writes sequentially, so
-     *  behaviour is bit-identical even when registers alias. */
-    struct MaskSeq
-    {
-        int32_t addr = -1;
-        int32_t d[13] = {};
     };
 
     /** Runtime descriptor of one formed superinstruction block. */
@@ -280,7 +266,6 @@ class Executor
                                ///< pre-check bound per iteration)
         uint64_t iterCycles = 0; ///< static cycle sum per iteration
         std::vector<UOp> uops; ///< compiled superinstruction form
-        std::vector<MaskSeq> seqs; ///< unfused-mask sequence wirings
     };
 
     /** In-flight hot-path recording. */
@@ -355,7 +340,7 @@ class Executor
     bool _tier = false;
     Translator *_traceTr = nullptr;
     uint32_t _origLen = 0;          ///< base-image instruction count
-    uint32_t _hotThreshold = 50;
+    uint32_t _hotThreshold = kTraceHotThreshold;
     std::vector<uint32_t> _hotCount;  ///< per-anchor profiling counters
     std::vector<uint8_t> _blacklist;  ///< anchors that failed to splice
     std::vector<int32_t> _traceIdx;   ///< anchor idx -> _traces index

@@ -825,18 +825,17 @@ class Analysis
         }
         for (size_t i = 0; i < n; i++) {
             int dst = -1;
-            if (i + sandboxMaskSeqLen <= n &&
-                matchSandboxMaskSeq(_img.code, r.begin + i, dst) >=
-                    0) {
+            if (i + unfusedMaskLen <= n &&
+                matchUnfusedMask(_img.code, r.begin + i, dst) >= 0) {
                 bool enterable = false;
-                for (size_t k = 1; k < sandboxMaskSeqLen; k++)
+                for (size_t k = 1; k < unfusedMaskLen; k++)
                     enterable |= isJumpTarget[i + k];
                 if (!enterable) {
                     // Record the sequence's SOURCE register at its
                     // final instruction; transfer() reads it there.
-                    int src = matchSandboxMaskSeq(
-                        _img.code, r.begin + i, dst);
-                    gen[i + sandboxMaskSeqLen - 1] = src;
+                    int src =
+                        matchUnfusedMask(_img.code, r.begin + i, dst);
+                    gen[i + unfusedMaskLen - 1] = src;
                 }
             }
         }

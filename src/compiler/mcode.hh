@@ -70,7 +70,7 @@ enum class MOp : uint8_t
  * SandboxAddr, which models the same number of machine instructions
  * (identical simulated cycles and instruction counts) in one dispatch.
  */
-constexpr unsigned sandboxMaskSeqLen = 13;
+constexpr unsigned unfusedMaskLen = 13;
 
 /** The single conservative CFI label value (S 5: one label for all
  *  call sites and function entries). */

@@ -75,10 +75,10 @@ maskDefReg(const MachineImage &image, size_t idx)
     const MInst &m = image.code[idx];
     if (m.op == MOp::SandboxAddr)
         return m.dst;
-    if (m.op == MOp::Mul && idx + 1 >= sandboxMaskSeqLen) {
+    if (m.op == MOp::Mul && idx + 1 >= unfusedMaskLen) {
         int dst = -1;
-        if (matchSandboxMaskSeq(image.code,
-                                idx - (sandboxMaskSeqLen - 1), dst) >= 0)
+        if (matchUnfusedMask(image.code, idx - (unfusedMaskLen - 1),
+                             dst) >= 0)
             return dst;
     }
     return -1;

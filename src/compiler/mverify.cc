@@ -276,13 +276,13 @@ maskFlow(const MachineImage &img, const FuncRange &r, int numRegs,
             continue;
         }
         int dst = -1;
-        if (i + sandboxMaskSeqLen <= n &&
-            matchSandboxMaskSeq(img.code, r.begin + i, dst) >= 0) {
+        if (i + unfusedMaskLen <= n &&
+            matchUnfusedMask(img.code, r.begin + i, dst) >= 0) {
             bool enterable = false;
-            for (size_t k = 1; k < sandboxMaskSeqLen; k++)
+            for (size_t k = 1; k < unfusedMaskLen; k++)
                 enterable |= isJumpTarget[i + k];
             if (!enterable)
-                maskGen[i + sandboxMaskSeqLen - 1] = dst;
+                maskGen[i + unfusedMaskLen - 1] = dst;
         }
     }
 

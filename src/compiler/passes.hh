@@ -58,7 +58,7 @@ PassStats cfiPass(std::vector<MInst> &code);
 
 /**
  * Machine-level peephole over one function's code (pre-layout, local
- * jump targets). Recognizes the sandboxMaskSeqLen-instruction ghost/SVA
+ * jump targets). Recognizes the unfusedMaskLen-instruction ghost/SVA
  * masking sequence emitted by sandboxPass and folds each occurrence
  * into a single SandboxAddr instruction with byte-identical semantics.
  * Intra-function jump targets are remapped; runs before cfiPass.
@@ -66,14 +66,13 @@ PassStats cfiPass(std::vector<MInst> &code);
 PassStats fuseSandboxPass(std::vector<MInst> &code);
 
 /**
- * If the sandboxMaskSeqLen-instruction unfused masking sequence emitted
+ * If the unfusedMaskLen-instruction masking sequence emitted
  * by sandboxPass starts at code[i], return the source address register
  * and set @p dst to the final (masked) register; return -1 otherwise.
  * Shared between the fusing peephole and the load-time machine-code
  * verifier (mverify.cc), which must recognize exactly the same shape.
  */
-int matchSandboxMaskSeq(const std::vector<MInst> &code, size_t i,
-                        int &dst);
+int matchUnfusedMask(const std::vector<MInst> &code, size_t i, int &dst);
 
 } // namespace vg::cc
 

@@ -16,7 +16,7 @@
  *   dst    = masked * uint64(!(svaBase <= masked < svaEnd))
  *
  * which is exactly what the unfused sequence computes, and it charges
- * the same simulated instruction count and cycles (sandboxMaskSeqLen)
+ * the same simulated instruction count and cycles (unfusedMaskLen)
  * so fuel, stats and clock behaviour do not change. Only the host-side
  * dispatch count drops. The VIR-level pass — and therefore the
  * verifier's view of the module — is untouched.
@@ -37,9 +37,9 @@ namespace vg::cc
 {
 
 int
-matchSandboxMaskSeq(const std::vector<MInst> &code, size_t i, int &dst)
+matchUnfusedMask(const std::vector<MInst> &code, size_t i, int &dst)
 {
-    if (i + sandboxMaskSeqLen > code.size())
+    if (i + unfusedMaskLen > code.size())
         return -1;
     const MInst *m = &code[i];
 
@@ -102,18 +102,18 @@ fuseSandboxPass(std::vector<MInst> &code)
 
     for (size_t i = 0; i < code.size();) {
         int dst = -1;
-        int addr = matchSandboxMaskSeq(code, i, dst);
+        int addr = matchUnfusedMask(code, i, dst);
         if (addr >= 0) {
-            for (size_t k = 0; k < sandboxMaskSeqLen; k++)
+            for (size_t k = 0; k < unfusedMaskLen; k++)
                 remap[i + k] = out.size();
             MInst fused;
             fused.op = MOp::SandboxAddr;
             fused.dst = dst;
             fused.a = addr;
             out.push_back(fused);
-            i += sandboxMaskSeqLen;
+            i += unfusedMaskLen;
             stats.sitesInstrumented++;
-            stats.instsRemoved += sandboxMaskSeqLen - 1;
+            stats.instsRemoved += unfusedMaskLen - 1;
         } else {
             remap[i] = out.size();
             out.push_back(std::move(code[i]));

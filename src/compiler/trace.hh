@@ -11,7 +11,7 @@
  *
  *  - non-control instructions are copied verbatim (so sandbox-mask
  *    sequences and CFI labels survive byte-for-byte and
- *    matchSandboxMaskSeq still recognizes them),
+ *    matchUnfusedMask still recognizes them),
  *  - the recorded direction of every branch falls through to the next
  *    block slot, while the other direction becomes a side-exit jump to
  *    its original address in the home function,

@@ -10,8 +10,9 @@ namespace vg::cc
 {
 
 Translator::Translator(const std::vector<uint8_t> &signing_key,
-                       sim::SimContext &ctx)
-    : _signingKey(signing_key), _signer(signing_key), _ctx(ctx)
+                       sim::SimContext &ctx, SandboxMasks masks)
+    : _signingKey(signing_key), _signer(signing_key), _ctx(ctx),
+      _fuseMasks(masks == SandboxMasks::Fused)
 {}
 
 crypto::Digest
@@ -39,7 +40,7 @@ Translator::translateText(const std::string &text, uint64_t code_base)
     h.update(&code_base, sizeof(code_base));
     uint8_t flags = uint8_t((_ctx.config().sandboxMemory ? 1 : 0) |
                             (_ctx.config().cfi ? 2 : 0) |
-                            (_ctx.config().fuseSandboxMasks ? 4 : 0));
+                            (_fuseMasks ? 4 : 0));
     h.update(&flags, 1);
     std::string key = crypto::toHex(h.final());
 
@@ -72,10 +73,6 @@ TranslateResult
 Translator::spliceTrace(const MachineImage &base, const TraceRequest &req)
 {
     TranslateResult result;
-    if (!_ctx.config().traceTier) {
-        result.error = "trace tier is disabled";
-        return result;
-    }
 
     // Generation key: the base signature identifies the exact signed
     // translation (source, base address, flags, signing key) the trace
@@ -199,8 +196,7 @@ Translator::translateModule(vir::Module mod, uint64_t code_base)
     lowered.reserve(mod.functions.size());
     for (const auto &fn : mod.functions) {
         LoweredFunc lf = lowerFunction(fn);
-        if (_ctx.config().sandboxMemory &&
-            _ctx.config().fuseSandboxMasks) {
+        if (_ctx.config().sandboxMemory && _fuseMasks) {
             PassStats s = fuseSandboxPass(lf.code);
             result.fuseStats.sitesInstrumented += s.sitesInstrumented;
             result.fuseStats.instsRemoved += s.instsRemoved;

@@ -57,6 +57,19 @@ struct TranslateResult
     IflowResult iflow;
 };
 
+/**
+ * How sandbox masks are lowered. Fused runs fuseSandboxPass, which
+ * collapses each 13-instruction ghost/SVA masking sequence into one
+ * SandboxAddr op (the paper's few-instruction native masking).
+ * Unfused keeps the sequence. Semantics and simulated cost are
+ * identical; Unfused exists for differential testing only.
+ */
+enum class SandboxMasks
+{
+    Fused,
+    Unfused,
+};
+
 /** Ahead-of-time translator with a signed translation cache. */
 class Translator
 {
@@ -64,9 +77,12 @@ class Translator
     /**
      * @param signing_key HMAC key owned by the SVA VM
      * @param ctx         simulation context (instrumentation flags)
+     * @param masks       sandbox-mask lowering (tests and benches
+     *                    pass Unfused; the VM takes the default)
      */
     Translator(const std::vector<uint8_t> &signing_key,
-               sim::SimContext &ctx);
+               sim::SimContext &ctx,
+               SandboxMasks masks = SandboxMasks::Fused);
 
     /** Translate VIR text; code is placed at @p code_base. */
     TranslateResult translateText(const std::string &text,
@@ -118,6 +134,7 @@ class Translator
     /** Precomputed HMAC pad states for _signingKey. */
     crypto::HmacSha256 _signer;
     sim::SimContext &_ctx;
+    bool _fuseMasks;
     std::map<std::string, std::shared_ptr<const MachineImage>> _cache;
     uint64_t _cacheHits = 0;
     std::function<void(MachineImage &)> _postLayoutHook;

@@ -10,11 +10,14 @@
 namespace vg::fleet
 {
 
-uint8_t
-ghostPatternByte(const crypto::AesKey &key, uint64_t page, uint64_t i)
+void
+fillGhostPattern(const crypto::AesKey &key, uint64_t page,
+                 std::span<uint8_t> out)
 {
-    return uint8_t(key[page % key.size()] ^ key[(page + 5) % key.size()] ^
-                   uint8_t(i * 131));
+    const uint8_t k =
+        uint8_t(key[page % key.size()] ^ key[(page + 5) % key.size()]);
+    for (size_t i = 0; i < out.size(); i++)
+        out[i] = uint8_t(k ^ uint8_t(i * 131));
 }
 
 Machine::Machine(unsigned id, const kern::SystemConfig &config)
@@ -134,8 +137,7 @@ Machine::serveEpoch(const std::vector<MachineRequest> &batch,
                         return 2;
                     std::vector<uint8_t> page(hw::pageSize);
                     for (unsigned p = 0; p < pages; p++) {
-                        for (uint64_t i = 0; i < hw::pageSize; i++)
-                            page[i] = ghostPatternByte(*key, p, i);
+                        fillGhostPattern(*key, p, page);
                         if (!napi.ghostWrite(va + p * hw::pageSize,
                                              page.data(), page.size()))
                             return 3;
@@ -146,9 +148,9 @@ Machine::serveEpoch(const std::vector<MachineRequest> &batch,
                         if (!napi.ghostRead(va + p * hw::pageSize,
                                             back.data(), back.size()))
                             return 4;
-                        for (uint64_t i = 0; i < hw::pageSize; i++)
-                            if (back[i] != ghostPatternByte(*key, p, i))
-                                return 5;
+                        fillGhostPattern(*key, p, page);
+                        if (back != page)
+                            return 5;
                     }
                     return 0;
                 });

@@ -21,6 +21,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,11 +31,12 @@
 namespace vg::fleet
 {
 
-/** Deterministic per-tenant ghost fill byte (key-derived, so the
- *  disclosure tests can recompute what a tenant wrote and scan a lost
- *  machine's disk and RAM for it). */
-uint8_t ghostPatternByte(const crypto::AesKey &key, uint64_t page,
-                         uint64_t i);
+/** Fill @p out with the deterministic ghost pattern a tenant writes
+ *  into its ghost page @p page (key-derived, so the disclosure tests
+ *  can recompute what a tenant wrote and scan a lost machine's disk
+ *  and RAM for it). The two key bytes are picked once per page. */
+void fillGhostPattern(const crypto::AesKey &key, uint64_t page,
+                      std::span<uint8_t> out);
 
 /** One request as routed to a machine. */
 struct MachineRequest

@@ -147,11 +147,16 @@ Kernel::connLookup(uint64_t conn_id)
 }
 
 void
-Kernel::connReapProcess(Process &proc)
+Kernel::closeSocket(Socket &sock)
 {
-    for (auto &[fd, of] : proc.fds)
-        if (of && of->kind == OpenFile::Kind::Socket && of->sock)
-            connUnregister(*of->sock);
+    if (auto peer = sock.peer.lock()) {
+        peer->peerClosed = true;
+        wakeup(peer.get());
+    }
+    if (sock.state == Socket::State::Listening)
+        _listeners.erase(sock.localPort);
+    connUnregister(sock);
+    sock.state = Socket::State::Closed;
 }
 
 // --------------------------------------------------------------------
@@ -425,7 +430,13 @@ Kernel::processMain(Process &p)
     teardownAddressSpace(p);
     _vm.unbindProcess(p.pid);
     _vm.destroyThread(p.tid);
-    connReapProcess(p);
+    // Sockets whose description this process holds the last
+    // reference to close as if by close(); descriptions a fork still
+    // shares stay open for the other holder.
+    for (auto &[fd, of] : p.fds)
+        if (of.use_count() == 1 && of->kind == OpenFile::Kind::Socket &&
+            of->sock)
+            closeSocket(*of->sock);
     p.fds.clear();
     p.state = ProcState::Zombie;
     _exitCodes[p.pid] = code;

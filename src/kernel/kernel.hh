@@ -402,10 +402,11 @@ class Kernel
     /** O(1) lookup of a registered connection by id. */
     std::shared_ptr<Socket> connLookup(uint64_t conn_id);
 
-    /** Exit-path reap: unregister every still-registered socket in
-     *  @p proc's fd table (close() normally does this; exit without
-     *  close must not leak registry slots). */
-    void connReapProcess(Process &proc);
+    /** Tear @p sock down: mark the peer's end closed and wake it, drop
+     *  a listener's port, unregister the connection and mark the
+     *  socket Closed. Used by close() and by process exit. Charges no
+     *  cycles beyond connUnregister's table work. */
+    void closeSocket(Socket &sock);
 
     /** The live registry (vg_lint --dump-fleet, fleet LB telemetry). */
     const ConnTable &connTable() const { return _connTable; }

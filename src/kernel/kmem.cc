@@ -10,8 +10,8 @@ namespace vg::kern
 {
 
 Kmem::Kmem(sim::SimContext &ctx, hw::PhysMem &mem, hw::Mmu &mmu,
-           sva::SvaVm &vm)
-    : _ctx(ctx), _mem(mem), _mmu(mmu), _vm(vm),
+           sva::SvaVm &vm, Path path)
+    : _ctx(ctx), _mem(mem), _mmu(mmu), _vm(vm), _fast(path == Path::Fast),
       _hDeflections(ctx.stats().handle("kmem.deflections")),
       _hBlockedStores(ctx.stats().handle("kmem.blocked_stores")),
       _hTlbHits(ctx.stats().handle("mmu.tlb_hits"))
@@ -52,7 +52,7 @@ Kmem::resolve(hw::Vaddr va, hw::Access access, hw::Paddr &pa)
 bool
 Kmem::resolveCached(hw::Vaddr va, hw::Access access, hw::Paddr &pa)
 {
-    if (!_ctx.config().kmemFastPath)
+    if (!_fast)
         return resolve(va, access, pa);
 
     if (va == 0)
@@ -183,7 +183,7 @@ Kmem::copyBytewise(uint64_t dst, uint64_t src, uint64_t len)
 bool
 Kmem::copy(uint64_t dst, uint64_t src, uint64_t len)
 {
-    if (!_ctx.config().kmemFastPath)
+    if (!_fast)
         return copyBytewise(dst, src, len);
 
     uint64_t off = 0;

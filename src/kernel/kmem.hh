@@ -37,8 +37,21 @@ namespace vg::kern
 class Kmem : public cc::MemPort
 {
   public:
+    /**
+     * How accesses resolve. Fast puts a last-translation cache in
+     * front of the MMU and copies in page-sized chunks. Reference
+     * translates and copies one access at a time. Semantics,
+     * simulated cost and every stat are identical; Reference exists
+     * for differential testing only (the kernel takes the default).
+     */
+    enum class Path
+    {
+        Fast,
+        Reference,
+    };
+
     Kmem(sim::SimContext &ctx, hw::PhysMem &mem, hw::Mmu &mmu,
-         sva::SvaVm &vm);
+         sva::SvaVm &vm, Path path = Path::Fast);
 
     /** Attach the machine's vCPU set: translations go through the
      *  *active* CPU's MMU and the last-translation cache is keyed on
@@ -90,7 +103,7 @@ class Kmem : public cc::MemPort
      * provably still installed with the same PTE (checked via the Mmu
      * generation counter), so the tlbHit charge and mmu.tlb_hits bump
      * match what Mmu::translate would have done. Any doubt falls back
-     * to the real translate(). Gated on VgConfig::kmemFastPath.
+     * to the real translate(). Path::Reference bypasses the cache.
      */
     bool resolveCached(hw::Vaddr va, hw::Access access, hw::Paddr &pa);
 
@@ -130,6 +143,7 @@ class Kmem : public cc::MemPort
     hw::Mmu &_mmu;
     sva::SvaVm &_vm;
     hw::CpuSet *_cpus = nullptr;
+    bool _fast;
     uint64_t _deflections = 0;
     TransCache _tc;
     sim::StatHandle _hDeflections;

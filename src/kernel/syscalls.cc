@@ -225,17 +225,8 @@ UserApi::close(int fd)
     auto it = _proc.fds.find(fd);
     if (it != _proc.fds.end()) {
         auto of = it->second;
-        if (of->kind == OpenFile::Kind::Socket && of->sock) {
-            // Tear down the connection.
-            if (auto peer = of->sock->peer.lock()) {
-                peer->peerClosed = true;
-                _kernel.wakeup(peer.get());
-            }
-            if (of->sock->state == Socket::State::Listening)
-                _kernel._listeners.erase(of->sock->localPort);
-            _kernel.connUnregister(*of->sock);
-            of->sock->state = Socket::State::Closed;
-        }
+        if (of->kind == OpenFile::Kind::Socket && of->sock)
+            _kernel.closeSocket(*of->sock);
         _proc.fds.erase(it);
         result = 0;
     }

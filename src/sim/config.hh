@@ -7,6 +7,13 @@
  * protections off, modelling the stock FreeBSD kernel baseline) against
  * full() (the complete Virtual Ghost system); the ablation bench toggles
  * features individually.
+ *
+ * Only protections (plus the schedule seed and the vCPU count) live
+ * here. Execution-engine choices that leave every simulated number
+ * unchanged belong to the component that owns them: sandbox-mask
+ * fusion is a cc::Translator constructor option, the Kmem reference
+ * path a kern::Kmem constructor argument, and the trace tier an
+ * explicit cc::Executor::enableTraceTier() call.
  */
 
 #ifndef VG_SIM_CONFIG_HH
@@ -21,14 +28,6 @@ struct VgConfig
 {
     /** Load/store sandboxing instrumentation on kernel code (S 4.3.1). */
     bool sandboxMemory = true;
-
-    /**
-     * Fuse the sandbox masking sequence into one machine op during
-     * lowering (modelling the paper's few-instruction native masking).
-     * Semantics and simulated cost are identical to the unfused
-     * sequence; disabling this exists for differential testing only.
-     */
-    bool fuseSandboxMasks = true;
 
     /** Control-flow integrity labels and checks on kernel code. */
     bool cfi = true;
@@ -55,14 +54,6 @@ struct VgConfig
      */
     bool verifyIflow = true;
 
-    /**
-     * Use the Kmem fast path: a last-translation cache in front of the
-     * MMU plus page-chunked bulk copies. Semantics, simulated cost, and
-     * every stat are identical to the reference per-access path;
-     * disabling this exists for differential testing only.
-     */
-    bool kmemFastPath = true;
-
     /** Run-time checks on MMU configuration intrinsics (S 4.3.2). */
     bool mmuChecks = true;
 
@@ -78,23 +69,6 @@ struct VgConfig
 
     /** Serve randomness from the trusted VM generator (S 4.7). */
     bool secureRng = true;
-
-    /**
-     * Trace-tier superinstruction execution in the Executor: hot loop
-     * heads and function entries (detected by lightweight back-edge /
-     * entry counters) are spliced into superinstruction trace blocks
-     * appended to the image, re-proved by the machine-code verifier,
-     * re-signed, and then run as threaded DInst blocks with folded
-     * cycle-cost bookkeeping. Architectural state, instruction counts,
-     * cycle costs and exec.* stats are bit-identical to the plain
-     * interpreter; disabling this exists for differential testing and
-     * as a perf ablation knob.
-     */
-    bool traceTier = true;
-
-    /** Executions of a back edge / function entry before a trace is
-     *  recorded there (trace-tier knob). */
-    unsigned traceHotThreshold = 50;
 
     /**
      * Deterministic-schedule seed. Everything in the simulator that

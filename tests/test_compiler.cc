@@ -730,7 +730,7 @@ entry:
     int dst = -1;
     size_t seq = SIZE_MAX;
     for (size_t i = 0; i < lf.code.size(); i++)
-        if (matchSandboxMaskSeq(lf.code, i, dst) >= 0) {
+        if (matchUnfusedMask(lf.code, i, dst) >= 0) {
             seq = i;
             break;
         }
@@ -760,11 +760,10 @@ entry:
 }
 )";
     std::vector<std::shared_ptr<const MachineImage>> images;
-    for (bool fuse : {true, false}) {
-        sim::VgConfig cfg = sim::VgConfig::full();
-        cfg.fuseSandboxMasks = fuse;
-        sim::SimContext ctx(cfg);
-        Translator translator(kKey, ctx);
+    for (SandboxMasks masks :
+         {SandboxMasks::Fused, SandboxMasks::Unfused}) {
+        sim::SimContext ctx(sim::VgConfig::full());
+        Translator translator(kKey, ctx, masks);
         // The translator's own verifyMcode gate is on: translation
         // succeeding already implies 0 findings.
         auto tr = translator.translateText(src, kCodeBase);

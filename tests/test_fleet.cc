@@ -371,8 +371,7 @@ std::vector<uint8_t>
 ghostNeedle(const crypto::AesKey &key, uint64_t page, size_t n)
 {
     std::vector<uint8_t> v(n);
-    for (size_t i = 0; i < n; i++)
-        v[i] = ghostPatternByte(key, page, i);
+    fillGhostPattern(key, page, v);
     return v;
 }
 

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,14 +35,6 @@ using namespace vg::cc;
 
 namespace
 {
-
-/** The trace-splice tests need the tier available regardless of the
- *  harness environment (CI re-runs tier-1 under
- *  VG_DISABLE_TRACE_TIER=1 as an A/B). */
-const int kEnvCleared = [] {
-    unsetenv("VG_DISABLE_TRACE_TIER");
-    return 0;
-}();
 
 constexpr uint64_t kCodeBase = 0xffffff9000000000ull;
 constexpr uint64_t kStackBase = 0xffffffa000000000ull;
@@ -186,6 +177,7 @@ struct NamedConfig
 {
     const char *name;
     sim::VgConfig cfg;
+    SandboxMasks masks = SandboxMasks::Fused;
 };
 
 std::vector<NamedConfig>
@@ -193,17 +185,15 @@ allConfigs()
 {
     std::vector<NamedConfig> out;
     out.push_back({"full-fused", sim::VgConfig::full()});
+    out.push_back(
+        {"full-unfused", sim::VgConfig::full(), SandboxMasks::Unfused});
     sim::VgConfig c = sim::VgConfig::full();
-    c.fuseSandboxMasks = false;
-    out.push_back({"full-unfused", c});
-    c = sim::VgConfig::full();
     c.sandboxMemory = false;
     out.push_back({"cfi-only", c});
     c = sim::VgConfig::full();
     c.cfi = false;
     out.push_back({"sandbox-only-fused", c});
-    c.fuseSandboxMasks = false;
-    out.push_back({"sandbox-only-unfused", c});
+    out.push_back({"sandbox-only-unfused", c, SandboxMasks::Unfused});
     out.push_back({"native", sim::VgConfig::native()});
     return out;
 }
@@ -211,12 +201,13 @@ allConfigs()
 /** Translate under @p cfg with both verifier gates disabled, so the
  *  sweeps can inject leaks and verify explicitly. */
 std::shared_ptr<const MachineImage>
-compileUngated(const char *text, sim::VgConfig cfg)
+compileUngated(const char *text, sim::VgConfig cfg,
+               SandboxMasks masks = SandboxMasks::Fused)
 {
     cfg.verifyMcode = false;
     cfg.verifyIflow = false;
     sim::SimContext ctx(cfg);
-    Translator translator(kKey, ctx);
+    Translator translator(kKey, ctx, masks);
     auto tr = translator.translateText(text, kCodeBase);
     EXPECT_TRUE(tr.ok) << tr.error;
     return tr.image;
@@ -248,11 +239,7 @@ struct HotRig
     std::unique_ptr<Executor> exec;
 
     explicit HotRig(sim::VgConfig cfg = sim::VgConfig::full())
-        : ctx([&cfg] {
-              cfg.traceHotThreshold = kHotThreshold;
-              return cfg;
-          }()),
-          translator(kKey, ctx)
+        : ctx(cfg), translator(kKey, ctx)
     {
         // The ghost intrinsics, modeled deterministically (the same
         // shapes the kernel's module API exposes).
@@ -284,7 +271,7 @@ struct HotRig
         base = tr.image;
         exec = std::make_unique<Executor>(*base, port, externs, ctx,
                                           kStackBase, kStackSize);
-        exec->enableTraceTier(translator);
+        exec->enableTraceTier(translator, kHotThreshold);
         for (int i = 0; i < passes; i++)
             exec->call(fn, args);
     }
@@ -301,7 +288,7 @@ TEST(IflowVerifySweep, CleanCorpusHasZeroFindingsUnderAllConfigs)
     for (const NamedConfig &nc : allConfigs()) {
         for (const char *text : kGhostCorpus) {
             sim::SimContext ctx(nc.cfg);
-            Translator translator(kKey, ctx);
+            Translator translator(kKey, ctx, nc.masks);
             auto tr = translator.translateText(text, kCodeBase);
             ASSERT_TRUE(tr.ok)
                 << "config " << nc.name << ": " << tr.error;
@@ -328,10 +315,11 @@ TEST(IflowVerifySweep, EveryInjectedLeakIsDetected)
     std::map<Miscompile, size_t> perKind;
 
     for (bool fuse : {true, false}) {
-        sim::VgConfig cfg = sim::VgConfig::full();
-        cfg.fuseSandboxMasks = fuse;
+        SandboxMasks masks =
+            fuse ? SandboxMasks::Fused : SandboxMasks::Unfused;
         for (const char *text : kGhostCorpus) {
-            auto image = compileUngated(text, cfg);
+            auto image =
+                compileUngated(text, sim::VgConfig::full(), masks);
             ASSERT_TRUE(image);
             for (Miscompile kind : kIflowKinds) {
                 size_t sites = miscompileSites(*image, kind).size();

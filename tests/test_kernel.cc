@@ -260,6 +260,45 @@ TEST(Kernel, SocketEofAfterClose)
     });
 }
 
+TEST(Kernel, SocketEofAfterPeerExitsWithoutClose)
+{
+    System sys(smallConfig());
+    sys.boot();
+    sys.runProcess("exiteof", [](UserApi &api) {
+        int ls = api.socket();
+        api.bind(ls, 9050);
+        api.listen(ls);
+        // The child connects and exits without close(): exit must
+        // close the socket, or the parent's recv below sleeps forever.
+        uint64_t child = api.fork([](UserApi &capi) {
+            int c = capi.connect(9050);
+            capi.yield(); // let the parent block in recv first
+            return c >= 0 ? 0 : 1;
+        });
+        int conn = api.accept(ls);
+        EXPECT_GE(conn, 0);
+        char c = 0;
+        EXPECT_EQ(api.recvHost(conn, &c, 1), 0); // EOF
+        api.close(conn);
+        int status = -1;
+        api.waitpid(child, status);
+        EXPECT_EQ(status, 0);
+
+        // The child shared the listener through fork; its exit must
+        // leave the parent's listener open.
+        uint64_t again = api.fork([](UserApi &capi) {
+            int c = capi.connect(9050);
+            capi.close(c);
+            return c >= 0 ? 0 : 1;
+        });
+        EXPECT_GE(api.accept(ls), 0);
+        api.waitpid(again, status);
+        EXPECT_EQ(status, 0);
+        api.close(ls);
+        return 0;
+    });
+}
+
 TEST(Kernel, LargeSocketTransferWithFlowControl)
 {
     System sys(smallConfig());

@@ -3,7 +3,7 @@
  * The Kmem fast path (last-translation cache + page-chunked copies)
  * must be *observably identical* to the reference per-access path:
  * same return values, same simulated cycles, same stat counters, same
- * memory contents. VgConfig::kmemFastPath=false selects the reference
+ * memory contents. kern::Kmem::Path::Reference selects the reference
  * implementation; these tests run both side by side.
  */
 
@@ -28,12 +28,10 @@ using namespace vg;
 namespace
 {
 
-sim::VgConfig
-cfgFor(bool fast)
+kern::Kmem::Path
+pathFor(bool fast)
 {
-    sim::VgConfig cfg = sim::VgConfig::full();
-    cfg.kmemFastPath = fast;
-    return cfg;
+    return fast ? kern::Kmem::Path::Fast : kern::Kmem::Path::Reference;
 }
 
 // --------------------------------------------------------------------
@@ -52,9 +50,10 @@ struct HandRig
     kern::Kmem kmem;
 
     explicit HandRig(bool fast)
-        : ctx(cfgFor(fast)), mem(64), mmu(mem, ctx), iommu(mem, ctx),
-          tpm({'k', 't'}), vm(ctx, mem, mmu, iommu, tpm),
-          kmem(ctx, mem, mmu, vm)
+        : ctx(sim::VgConfig::full()), mem(64), mmu(mem, ctx),
+          iommu(mem, ctx), tpm({'k', 't'}),
+          vm(ctx, mem, mmu, iommu, tpm),
+          kmem(ctx, mem, mmu, vm, pathFor(fast))
     {}
 
     /** Install a user leaf for @p va (tables in frames 0..3). */
@@ -342,9 +341,10 @@ struct SweepRig
     std::deque<hw::Frame> freeFrames;
 
     explicit SweepRig(bool fast)
-        : ctx(cfgFor(fast)), mem(512), mmu(mem, ctx), iommu(mem, ctx),
-          tpm({'k', 'f'}), vm(ctx, mem, mmu, iommu, tpm),
-          kmem(ctx, mem, mmu, vm)
+        : ctx(sim::VgConfig::full()), mem(512), mmu(mem, ctx),
+          iommu(mem, ctx), tpm({'k', 'f'}),
+          vm(ctx, mem, mmu, iommu, tpm),
+          kmem(ctx, mem, mmu, vm, pathFor(fast))
     {
         vm.install(384);
         vm.boot();

@@ -150,6 +150,7 @@ struct NamedConfig
 {
     const char *name;
     sim::VgConfig cfg;
+    SandboxMasks masks = SandboxMasks::Fused;
 };
 
 std::vector<NamedConfig>
@@ -157,17 +158,15 @@ allConfigs()
 {
     std::vector<NamedConfig> out;
     out.push_back({"full-fused", sim::VgConfig::full()});
+    out.push_back(
+        {"full-unfused", sim::VgConfig::full(), SandboxMasks::Unfused});
     sim::VgConfig c = sim::VgConfig::full();
-    c.fuseSandboxMasks = false;
-    out.push_back({"full-unfused", c});
-    c = sim::VgConfig::full();
     c.sandboxMemory = false;
     out.push_back({"cfi-only", c});
     c = sim::VgConfig::full();
     c.cfi = false;
     out.push_back({"sandbox-only-fused", c});
-    c.fuseSandboxMasks = false;
-    out.push_back({"sandbox-only-unfused", c});
+    out.push_back({"sandbox-only-unfused", c, SandboxMasks::Unfused});
     out.push_back({"native", sim::VgConfig::native()});
     return out;
 }
@@ -175,11 +174,12 @@ allConfigs()
 /** Translate under @p cfg with the verifier gate disabled, so sweeps
  *  can inject faults and verify explicitly. */
 std::shared_ptr<const MachineImage>
-compileUngated(const char *text, sim::VgConfig cfg)
+compileUngated(const char *text, sim::VgConfig cfg,
+               SandboxMasks masks = SandboxMasks::Fused)
 {
     cfg.verifyMcode = false;
     sim::SimContext ctx(cfg);
-    Translator translator(kKey, ctx);
+    Translator translator(kKey, ctx, masks);
     auto tr = translator.translateText(text, kCodeBase);
     EXPECT_TRUE(tr.ok) << tr.error;
     return tr.image;
@@ -254,7 +254,7 @@ TEST(McodeVerifySweep, CleanCorpusHasZeroFindingsUnderAllConfigs)
         for (const char *text : kCorpus) {
             // Gate on: the translation itself must succeed...
             sim::SimContext ctx(nc.cfg);
-            Translator translator(kKey, ctx);
+            Translator translator(kKey, ctx, nc.masks);
             auto tr = translator.translateText(text, kCodeBase);
             ASSERT_TRUE(tr.ok)
                 << "config " << nc.name << ": " << tr.error;
@@ -279,10 +279,11 @@ TEST(McodeVerifySweep, EveryInjectedMiscompileIsDetected)
     std::vector<size_t> perKind(allMiscompiles().size(), 0);
 
     for (bool fuse : {true, false}) {
-        sim::VgConfig cfg = sim::VgConfig::full();
-        cfg.fuseSandboxMasks = fuse;
+        SandboxMasks masks =
+            fuse ? SandboxMasks::Fused : SandboxMasks::Unfused;
         for (const char *text : kCorpus) {
-            auto image = compileUngated(text, cfg);
+            auto image =
+                compileUngated(text, sim::VgConfig::full(), masks);
             ASSERT_TRUE(image);
             for (size_t k = 0; k < allMiscompiles().size(); k++) {
                 Miscompile kind = allMiscompiles()[k];
@@ -452,17 +453,16 @@ TEST(McodeVerify, MidSequenceJumpDoesNotCountAsMasked)
     // Hand-build an image where a jump enters the unfused mask
     // sequence partway: the sequence's result must NOT be treated as
     // masked, because the skipped prefix never executed.
-    sim::VgConfig cfg = sim::VgConfig::full();
-    cfg.fuseSandboxMasks = false;
-    auto clean = compileUngated(kCorpus[2], cfg); // store_load
+    auto clean = compileUngated(kCorpus[2], sim::VgConfig::full(),
+                                SandboxMasks::Unfused); // store_load
     ASSERT_TRUE(clean);
     MachineImage image = *clean;
 
     size_t mulIdx = SIZE_MAX;
-    for (size_t i = 0; i + sandboxMaskSeqLen <= image.code.size(); i++) {
+    for (size_t i = 0; i + unfusedMaskLen <= image.code.size(); i++) {
         int dst = -1;
-        if (matchSandboxMaskSeq(image.code, i, dst) >= 0) {
-            mulIdx = i + sandboxMaskSeqLen - 1;
+        if (matchUnfusedMask(image.code, i, dst) >= 0) {
+            mulIdx = i + unfusedMaskLen - 1;
             break;
         }
     }

@@ -520,12 +520,11 @@ entry:
 }
 )";
 
-    sim::VgConfig unfused_cfg = sim::VgConfig::full();
-    unfused_cfg.fuseSandboxMasks = false;
     sim::SimContext fctx(sim::VgConfig::full());
-    sim::SimContext uctx(unfused_cfg);
+    sim::SimContext uctx(sim::VgConfig::full());
     Translator ftr(std::vector<uint8_t>(32, 9), fctx);
-    Translator utr(std::vector<uint8_t>(32, 9), uctx);
+    Translator utr(std::vector<uint8_t>(32, 9), uctx,
+                   SandboxMasks::Unfused);
     auto ft = ftr.translateText(src, kCodeBase);
     auto ut = utr.translateText(src, kCodeBase);
     ASSERT_TRUE(ft.ok) << ft.error;

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,16 +24,6 @@ using namespace vg::cc;
 
 namespace
 {
-
-/** This suite exercises the tier itself, so it must run with the tier
- *  available regardless of the harness environment (CI re-runs the
- *  rest of tier-1 under VG_DISABLE_TRACE_TIER=1 as an A/B;
- *  EnvKnobDisablesTier sets the variable explicitly for its own
- *  scope). */
-const int kEnvCleared = [] {
-    unsetenv("VG_DISABLE_TRACE_TIER");
-    return 0;
-}();
 
 /** Sparse flat memory that never faults (reads of untouched bytes
  *  return 0) — stands in for the kernel's view of memory. */
@@ -302,12 +291,11 @@ struct Outcome
 };
 
 Outcome
-runScenario(const Scenario &sc, sim::VgConfig cfg, bool tier)
+runScenario(const Scenario &sc, const sim::VgConfig &cfg, bool tier,
+            SandboxMasks masks = SandboxMasks::Fused)
 {
-    cfg.traceTier = true; // the off-run simply never enables the tier
-    cfg.traceHotThreshold = kHotThreshold;
     sim::SimContext ctx(cfg);
-    Translator translator(kKey, ctx);
+    Translator translator(kKey, ctx, masks);
     auto tr = translator.translateText(sc.src, kCodeBase);
     EXPECT_TRUE(tr.ok) << sc.name << ": " << tr.error;
     if (!tr.ok)
@@ -320,7 +308,7 @@ runScenario(const Scenario &sc, sim::VgConfig cfg, bool tier)
     if (sc.fuel)
         exec.setFuel(sc.fuel);
     if (tier)
-        exec.enableTraceTier(translator);
+        exec.enableTraceTier(translator, kHotThreshold);
 
     Outcome out;
     for (const auto &args : sc.calls)
@@ -337,11 +325,12 @@ runScenario(const Scenario &sc, sim::VgConfig cfg, bool tier)
 }
 
 void
-expectEquivalent(const Scenario &sc, sim::VgConfig cfg,
-                 const char *cfgName)
+expectEquivalent(const Scenario &sc, const sim::VgConfig &cfg,
+                 const char *cfgName,
+                 SandboxMasks masks = SandboxMasks::Fused)
 {
-    Outcome off = runScenario(sc, cfg, false);
-    Outcome on = runScenario(sc, cfg, true);
+    Outcome off = runScenario(sc, cfg, false, masks);
+    Outcome on = runScenario(sc, cfg, true, masks);
 
     ASSERT_EQ(off.results.size(), on.results.size());
     for (size_t i = 0; i < off.results.size(); i++) {
@@ -372,11 +361,7 @@ struct HotRig
     std::unique_ptr<Executor> exec;
 
     explicit HotRig(sim::VgConfig cfg = sim::VgConfig::full())
-        : ctx([&cfg] {
-              cfg.traceHotThreshold = kHotThreshold;
-              return cfg;
-          }()),
-          translator(kKey, ctx)
+        : ctx(cfg), translator(kKey, ctx)
     {}
 
     void
@@ -388,7 +373,7 @@ struct HotRig
         base = tr.image;
         exec = std::make_unique<Executor>(*base, port, externs, ctx,
                                           kStackBase, kStackSize);
-        exec->enableTraceTier(translator);
+        exec->enableTraceTier(translator, kHotThreshold);
         for (int i = 0; i < passes; i++)
             exec->call(fn, args);
     }
@@ -415,10 +400,11 @@ TEST(TraceEquivalenceSweep, FullConfig)
 
 TEST(TraceEquivalenceSweep, UnfusedMasks)
 {
-    sim::VgConfig cfg = sim::VgConfig::full();
-    cfg.fuseSandboxMasks = false;
+    // The 13-instruction mask sequences run through the generic
+    // micro-ops (const, compare, arith) inside the trace blocks.
     for (const Scenario &sc : corpus())
-        expectEquivalent(sc, cfg, "unfused");
+        expectEquivalent(sc, sim::VgConfig::full(), "unfused",
+                         SandboxMasks::Unfused);
 }
 
 TEST(TraceEquivalenceSweep, NativeConfig)
@@ -428,21 +414,24 @@ TEST(TraceEquivalenceSweep, NativeConfig)
 }
 
 /** The sweep must not be vacuous: the hot scenarios really form and
- *  execute traces under the tier. */
+ *  execute traces under the tier, fused and unfused alike. */
 TEST(TraceEquivalenceSweep, TierRunsActuallyTrace)
 {
-    size_t traced = 0;
-    for (const Scenario &sc : corpus()) {
-        Outcome on = runScenario(sc, sim::VgConfig::full(), true);
-        if (on.tracesFormed > 0 && on.traceExecuted > 0)
-            traced++;
+    for (SandboxMasks masks :
+         {SandboxMasks::Fused, SandboxMasks::Unfused}) {
+        size_t traced = 0;
+        for (const Scenario &sc : corpus()) {
+            Outcome on =
+                runScenario(sc, sim::VgConfig::full(), true, masks);
+            if (on.tracesFormed > 0 && on.traceExecuted > 0)
+                traced++;
+        }
+        EXPECT_GE(traced, 5u) << "most corpus scenarios should trace";
     }
-    EXPECT_GE(traced, 5u) << "most corpus scenarios should trace";
 }
 
 // ---------------------------------------------------------------------
-// Formation: metadata, stats, signatures, caching, and the knobs
-// that keep the tier off.
+// Formation: metadata, stats, signatures and caching.
 // ---------------------------------------------------------------------
 
 TEST(TraceFormation, HotLoopFormsVerifiedSignedTrace)
@@ -484,9 +473,7 @@ TEST(TraceFormation, SideExitsAreCounted)
 
 TEST(TraceFormation, RepeatSpliceIsServedFromSignedCache)
 {
-    sim::VgConfig cfg = sim::VgConfig::full();
-    cfg.traceHotThreshold = kHotThreshold;
-    sim::SimContext ctx(cfg);
+    sim::SimContext ctx(sim::VgConfig::full());
     Translator translator(kKey, ctx);
     auto tr = translator.translateText(kSumLoop, kCodeBase);
     ASSERT_TRUE(tr.ok) << tr.error;
@@ -494,7 +481,7 @@ TEST(TraceFormation, RepeatSpliceIsServedFromSignedCache)
     FlatPort port;
     ExternTable externs;
     Executor a(*tr.image, port, externs, ctx, kStackBase, kStackSize);
-    a.enableTraceTier(translator);
+    a.enableTraceTier(translator, kHotThreshold);
     for (int i = 0; i < 3; i++)
         a.call("sum", {300});
     ASSERT_GT(a.tracesFormed(), 0u);
@@ -503,41 +490,13 @@ TEST(TraceFormation, RepeatSpliceIsServedFromSignedCache)
     // A second executor over the same base forms the same trace; the
     // splice must come out of the generation-keyed cache.
     Executor b(*tr.image, port, externs, ctx, kStackBase, kStackSize);
-    b.enableTraceTier(translator);
+    b.enableTraceTier(translator, kHotThreshold);
     for (int i = 0; i < 3; i++)
         b.call("sum", {300});
     ASSERT_GT(b.tracesFormed(), 0u);
     EXPECT_GT(translator.cacheHits(), hits);
     EXPECT_EQ(b.currentImage().traces.size(),
               a.currentImage().traces.size());
-}
-
-TEST(TraceFormation, ConfigKnobDisablesTier)
-{
-    sim::VgConfig cfg = sim::VgConfig::full();
-    cfg.traceTier = false;
-    cfg.traceHotThreshold = kHotThreshold;
-    sim::SimContext ctx(cfg);
-    Translator translator(kKey, ctx);
-    auto tr = translator.translateText(kSumLoop, kCodeBase);
-    ASSERT_TRUE(tr.ok) << tr.error;
-    FlatPort port;
-    ExternTable externs;
-    Executor exec(*tr.image, port, externs, ctx, kStackBase,
-                  kStackSize);
-    exec.enableTraceTier(translator); // must be a no-op
-    for (int i = 0; i < 3; i++)
-        exec.call("sum", {300});
-    EXPECT_EQ(exec.tracesFormed(), 0u);
-}
-
-TEST(TraceFormation, EnvKnobDisablesTier)
-{
-    setenv("VG_DISABLE_TRACE_TIER", "1", 1);
-    HotRig rig;
-    rig.runHot(kSumLoop, "sum", {300});
-    unsetenv("VG_DISABLE_TRACE_TIER");
-    EXPECT_EQ(rig.exec->tracesFormed(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -590,9 +549,7 @@ TEST(TraceMinjectSweep, EveryTraceMiscompileIsDetected)
 
 TEST(TraceGate, UnverifiableSpliceIsRefusedAndNeverAdopted)
 {
-    sim::VgConfig cfg = sim::VgConfig::full();
-    cfg.traceHotThreshold = kHotThreshold;
-    sim::SimContext ctx(cfg);
+    sim::SimContext ctx(sim::VgConfig::full());
     Translator translator(kKey, ctx);
     auto tr = translator.translateText(kMemLoop, kCodeBase);
     ASSERT_TRUE(tr.ok) << tr.error;
@@ -613,7 +570,7 @@ TEST(TraceGate, UnverifiableSpliceIsRefusedAndNeverAdopted)
     ExternTable externs;
     Executor exec(*tr.image, port, externs, ctx, kStackBase,
                   kStackSize);
-    exec.enableTraceTier(translator);
+    exec.enableTraceTier(translator, kHotThreshold);
     ExecResult last;
     for (int i = 0; i < 4; i++)
         last = exec.call("memsum", {4096, 400});
@@ -639,7 +596,7 @@ TEST(TraceGate, UnverifiableSpliceIsRefusedAndNeverAdopted)
     translator.setPostLayoutHook(nullptr);
     Executor fresh(*tr.image, port, externs, ctx, kStackBase,
                    kStackSize);
-    fresh.enableTraceTier(translator);
+    fresh.enableTraceTier(translator, kHotThreshold);
     for (int i = 0; i < 3; i++)
         fresh.call("memsum", {4096, 400});
     EXPECT_GT(fresh.tracesFormed(), 0u);
@@ -851,9 +808,7 @@ TEST(FuelBudget, TraceTierRespectsBudgetExactly)
     // With the tier on and blocks hot, exhaustion inside a trace must
     // report the same count/fault as the interpreter (covered by the
     // sweep) and never exceed the budget.
-    sim::VgConfig cfg = sim::VgConfig::full();
-    cfg.traceHotThreshold = kHotThreshold;
-    sim::SimContext ctx(cfg);
+    sim::SimContext ctx(sim::VgConfig::full());
     Translator translator(kKey, ctx);
     auto tr = translator.translateText(kSumLoop, kCodeBase);
     ASSERT_TRUE(tr.ok) << tr.error;
@@ -861,7 +816,7 @@ TEST(FuelBudget, TraceTierRespectsBudgetExactly)
     ExternTable externs;
     Executor exec(*tr.image, port, externs, ctx, kStackBase,
                   kStackSize);
-    exec.enableTraceTier(translator);
+    exec.enableTraceTier(translator, kHotThreshold);
     for (int i = 0; i < 3; i++)
         exec.call("sum", {400});
     ASSERT_GT(exec.tracesFormed(), 0u);

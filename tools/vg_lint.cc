@@ -197,6 +197,7 @@ usage()
 struct Options
 {
     sim::VgConfig config;
+    cc::SandboxMasks masks = cc::SandboxMasks::Fused;
     bool requireSandbox = false;
     bool requireCfi = false;
     bool haveInject = false;
@@ -231,7 +232,7 @@ compile(const Options &opt, const std::string &text)
     cfg.verifyIflow = false;
     sim::SimContext ctx(cfg);
     std::vector<uint8_t> key(32, 0x42);
-    cc::Translator translator(key, ctx);
+    cc::Translator translator(key, ctx, opt.masks);
     return translator.translateText(text, kCodeBase);
 }
 
@@ -364,11 +365,9 @@ class AcceptAllPort : public cc::MemPort
 int
 dumpTraces(const Options &opt, const std::string &text)
 {
-    sim::VgConfig cfg = opt.config;
-    cfg.traceTier = true;
-    sim::SimContext ctx(cfg);
+    sim::SimContext ctx(opt.config);
     std::vector<uint8_t> key(32, 0x42);
-    cc::Translator translator(key, ctx);
+    cc::Translator translator(key, ctx, opt.masks);
     cc::TranslateResult tr = translator.translateText(text, kCodeBase);
     if (!tr.ok) {
         std::fprintf(stderr, "vg_lint: translation failed: %s\n",
@@ -864,7 +863,7 @@ main(int argc, char **argv)
         else if (arg == "--no-cfi")
             opt.config.cfi = false;
         else if (arg == "--no-fuse")
-            opt.config.fuseSandboxMasks = false;
+            opt.masks = cc::SandboxMasks::Unfused;
         else if (arg == "--require-sandbox")
             opt.requireSandbox = true;
         else if (arg == "--require-cfi")
